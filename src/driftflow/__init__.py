@@ -33,9 +33,7 @@ from .besov import (
     split_low_high,
 )
 from .linear import (
-    CompressibleSymbol,
     EigenSet,
-    IncompressibleSymbol,
     RadialInit,
     continuum_linear_norms,
     eigenvalues,
@@ -46,6 +44,8 @@ from .systems import (
     StateDF,
     StateEulerNS,
     StateTNS,
+    SYSTEMS,
+    SystemSpec,
     asymptotic_profile,
     effective_mixed_velocity,
     pressure_terms,

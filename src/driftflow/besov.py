@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InsufficientSamples, UnsupportedP
-from .spectral import Grid, SpectralField, to_physical
+from .spectral import Grid, SpectralField, lp_norm
 
 _CHI_LO = 0.75
 _CHI_HI = 4.0 / 3.0
@@ -173,15 +173,7 @@ def block_lp_norm(f: SpectralField, j: int, p: float, family: LPFamily | None = 
         return float(np.sqrt(f.grid.volume * np.sum((w * np.abs(f.coeffs)) ** 2)))
     if p not in _SUPPORTED_P:
         raise UnsupportedP(f"p = {p} not in {{1, 2, 4, inf}}")
-    blk = dyadic_block(f, j, fam)
-    v = to_physical(blk)
-    if f.is_vector:
-        mag = np.sqrt(np.sum(v**2, axis=0))
-    else:
-        mag = np.abs(v)
-    if np.isinf(p):
-        return float(np.max(mag))
-    return float((f.grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
+    return lp_norm(dyadic_block(f, j, fam), p)
 
 
 def block_l2_spectrum(f: SpectralField, family: LPFamily | None = None) -> np.ndarray:

@@ -17,15 +17,10 @@ from . import __version__, acceptance, studies
 from .besov import BesovSpec, besov_norm, family_for
 from .config import RunConfig, _jsonable, record_for, study_to_files, write_csv
 from .errors import DriftflowError
-from .initial_data import (
-    df_state,
-    euler_ns_state,
-    localized_df_state,
-    localized_euler_ns_state,
-    tns_state,
-)
+from .initial_data import initial_state
 from .integrate import BlockObserver, ScalarObserver, integrate
 from .spectral import l2_norm, linf_norm, load_field, save_field
+from .systems import SYSTEMS, system_spec
 
 
 def _load_config(args) -> RunConfig:
@@ -41,24 +36,15 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _initial_state(cfg: RunConfig):
-    grid, recipe = cfg.grid(), cfg.recipe()
-    if cfg.system in ("euler_ns", "euler_ns_scaled"):
-        return localized_euler_ns_state(grid, recipe) if cfg.localized else euler_ns_state(grid, recipe)
-    if cfg.system in ("df", "df_scaled"):
-        return localized_df_state(grid, recipe) if cfg.localized else df_state(grid, recipe)
-    return tns_state(grid, recipe)
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    state0 = _initial_state(cfg)
+    state0 = initial_state(cfg.system, cfg.grid(), cfg.recipe())
     fields = list(state0.fields())
     obs = [ScalarObserver(f"l2_{k}", lambda s, t, k=k: l2_norm(s.fields()[k])) for k in fields]
     obs += [ScalarObserver(f"linf_{k}", lambda s, t, k=k: linf_norm(s.fields()[k])) for k in fields]
-    if cfg.system in ("euler_ns", "euler_ns_scaled"):
+    if system_spec(cfg.system).has_drag:
         obs.append(BlockObserver("rel", lambda s: s.u - s.v))
     traj = integrate(state0, cfg.horizon, cfg.scheme_obj(), cfg.params(), cfg.system,
                      obs, cfg.sample_dt)
@@ -220,7 +206,7 @@ def _add_config_flags(p):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--outdir", help="output directory")
     p.add_argument("--seed", type=int)
-    p.add_argument("--system", choices=["euler_ns", "df", "tns", "euler_ns_scaled", "df_scaled"])
+    p.add_argument("--system", choices=list(SYSTEMS))
     p.add_argument("--dim", type=int)
     p.add_argument("--npts", type=int)
     p.add_argument("--length", type=float)

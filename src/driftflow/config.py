@@ -19,10 +19,9 @@ from .errors import ConfigError
 from .initial_data import DataRecipe
 from .integrate import Scheme
 from .spectral import Grid, PhysParams
+from .systems import system_spec
 
 FORMAT_TAG = "driftflow-io-1"
-
-_SYSTEMS = ("euler_ns", "df", "tns", "euler_ns_scaled", "df_scaled")
 
 
 @dataclass
@@ -71,11 +70,10 @@ class RunConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def validate(self) -> "RunConfig":
-        if self.system not in _SYSTEMS:
-            raise ConfigError(f"system must be one of {_SYSTEMS}")
         if self.prepared not in ("ill", "well"):
             raise ConfigError("prepared must be 'ill' or 'well'")
         try:
+            system_spec(self.system)
             self.grid()
             self.params()
         except ValueError as exc:

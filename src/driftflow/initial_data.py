@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import Grid, SpectralField, dealias, from_physical, hermitize, leray_project, to_physical
-from .systems import StateDF, StateEulerNS, StateTNS
+from .systems import StateDF, StateEulerNS, StateTNS, system_spec
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class DataRecipe:
     k_band: tuple[float, float] = (0.5, 3.0)     # active |xi| band for velocities
     mismatch_band: tuple[float, float] = (0.0, 1.0)  # low-frequency u0 - v0 band
     sigma1: float | None = None      # optional low-frequency spectral slope
-    k_taper: float | None = None     # soft Gaussian roll-off above this radius
     localized: bool = False          # bump-modulated data (dispersion studies)
     bump_width: float | None = None
 
@@ -42,7 +41,6 @@ def random_scalar(
     amplitude: float,
     k_band: tuple[float, float] = (0.5, 3.0),
     sigma1: float | None = None,
-    k_taper: float | None = None,
 ) -> SpectralField:
     """
     Zero-mean random-phase scalar with coefficients supported on
@@ -64,10 +62,6 @@ def random_scalar(
         with np.errstate(divide="ignore"):
             prof = np.where(kmag > 0, kmag, 1.0) ** expo
         c *= prof
-    if k_taper is not None:
-        roll = np.where(kmag > k_taper,
-                        np.exp(-(((kmag - k_taper) / (0.35 * k_taper)) ** 2)), 1.0)
-        c *= roll
     f = hermitize(dealias(SpectralField(grid, c)))
     idx = (0,) * grid.dim
     f.coeffs[idx] = 0.0
@@ -84,10 +78,8 @@ def random_vector(
     k_band: tuple[float, float] = (0.5, 3.0),
     sigma1: float | None = None,
     solenoidal: bool = False,
-    k_taper: float | None = None,
 ) -> SpectralField:
-    comps = [random_scalar(grid, rng, 1.0, k_band, sigma1, k_taper).coeffs
-             for _ in range(grid.dim)]
+    comps = [random_scalar(grid, rng, 1.0, k_band, sigma1).coeffs for _ in range(grid.dim)]
     f = SpectralField(grid, np.stack(comps))
     if solenoidal:
         f, _ = leray_project(f)
@@ -155,10 +147,8 @@ def euler_ns_state(grid: Grid, recipe: DataRecipe) -> StateEulerNS:
 def df_state(grid: Grid, recipe: DataRecipe) -> StateDF:
     rng = np.random.default_rng(recipe.seed)
     rho = positive_density(grid, rng, recipe.rho_amplitude, recipe.rho_floor)
-    a = random_scalar(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1,
-                      recipe.k_taper)
-    v = random_vector(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1,
-                      k_taper=recipe.k_taper)
+    a = random_scalar(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1)
+    v = random_vector(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1)
     return StateDF(rho, a, v).validate()
 
 
@@ -204,6 +194,19 @@ def localized_euler_ns_state(grid: Grid, recipe: DataRecipe) -> StateEulerNS:
         hi = max(hi, 1.5 * max(lo, 2.0 * np.pi / grid.length))
         u = base.v + random_vector(grid, rng, 0.3 * recipe.amplitude, (lo, hi))
     return StateEulerNS(base.rho, u, base.a, base.v).validate()
+
+
+def initial_state(system: str, grid: Grid, recipe: DataRecipe):
+    """Data for a registered system, by the family of its state class;
+    ``recipe.localized`` selects the bump-localized texture."""
+    cls = system_spec(system).state_cls
+    if cls is StateTNS:
+        return tns_state(grid, recipe)
+    if cls is StateDF:
+        return localized_df_state(grid, recipe) if recipe.localized else df_state(grid, recipe)
+    if recipe.localized:
+        return localized_euler_ns_state(grid, recipe)
+    return euler_ns_state(grid, recipe)
 
 
 def lowpass_vector(f: SpectralField, radius: float) -> SpectralField:

@@ -13,18 +13,16 @@ set by advection alone and never by the friction time.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import systems as sysmod
 from .besov import BlockTimeSeries, block_lp_spectrum, family_for
 from .errors import Diverged, StepRejected
-from .linear import green_compressible, green_incompressible, acoustic_eigenvalues, _exp_diff
+from .linear import green_acoustic, green_compressible, green_incompressible
 from .spectral import Grid, PhysParams, SpectralField, to_physical
-from .systems import StateDF, StateEulerNS, StateTNS
+from .systems import system_spec
 
 
 @dataclass(frozen=True)
@@ -48,65 +46,31 @@ class Scheme:
 
 
 # ---------------------------------------------------------------------------
-# system descriptors
-
-
-def _drag_rate(system: str, params: PhysParams) -> float | None:
-    if system == "euler_ns":
-        return 1.0 / params.tau
-    if system == "euler_ns_scaled":
-        return 1.0 / (params.eps * params.tau)
-    return None
-
-
-def _wave_speed(system: str, params: PhysParams) -> float:
-    return 1.0 / params.eps if system.endswith("_scaled") else 1.0
+# state algebra
 
 
 def nonlinear_rhs(system: str, state, params: PhysParams):
-    if system == "euler_ns":
-        return sysmod.rhs_euler_ns(state, params, include_linear=False)
-    if system == "euler_ns_scaled":
-        return sysmod.rhs_euler_ns_scaled(state, params.eps, params.tau, params, include_linear=False)
-    if system == "df":
-        return sysmod.rhs_df(state, params, include_linear=False)
-    if system == "df_scaled":
-        return sysmod.rhs_df_scaled(state, params.eps, params, include_linear=False)
-    if system == "tns":
-        return sysmod.rhs_tns(state, params, include_linear=False)
-    raise ValueError(f"unknown system {system!r}")
-
-
-def full_rhs(system: str, state, params: PhysParams):
-    if system == "euler_ns":
-        return sysmod.rhs_euler_ns(state, params)
-    if system == "euler_ns_scaled":
-        return sysmod.rhs_euler_ns_scaled(state, params.eps, params.tau, params)
-    if system == "df":
-        return sysmod.rhs_df(state, params)
-    if system == "df_scaled":
-        return sysmod.rhs_df_scaled(state, params.eps, params)
-    if system == "tns":
-        return sysmod.rhs_tns(state, params)
-    raise ValueError(f"unknown system {system!r}")
-
-
-def _state_fields(state):
-    return [getattr(state, f.name) for f in dataclasses.fields(state)]
+    """The explicit part of a registered system's rhs."""
+    return system_spec(system).rhs(state, params)
 
 
 def _rebuild(state, coeff_list):
-    cls = state.__class__
     g = state.grid
-    return cls(*[SpectralField(g, c) for c in coeff_list])
+    return type(state)(*[SpectralField(g, c) for c in coeff_list])
+
+
+def _with(state, **new):
+    """A state with the given fields replaced and copies of the others."""
+    return type(state)(**{k: new[k] if k in new else f.copy()
+                          for k, f in state.fields().items()})
 
 
 def state_lincomb(a: float, x, b: float = 0.0, y=None):
     """a*x + b*y on all fields of a state."""
-    xs = _state_fields(x)
+    xs = x.fields().values()
     if y is None:
         return _rebuild(x, [a * f.coeffs for f in xs])
-    ys = _state_fields(y)
+    ys = y.fields().values()
     return _rebuild(x, [a * fx.coeffs + b * fy.coeffs for fx, fy in zip(xs, ys)])
 
 
@@ -134,53 +98,40 @@ class ModePropagatorTable:
     p01: np.ndarray | None = None
     p11: np.ndarray | None = None
 
-    @property
-    def has_drag(self) -> bool:
-        return self.p00 is not None
-
 
 def precompute_mode_propagators(
     grid: Grid, params: PhysParams, dt: float, system: str = "euler_ns"
 ) -> ModePropagatorTable:
     """Assemble the exact one-step solution operator for every lattice mode."""
+    spec = system_spec(system)
     xi = grid.kmag.ravel()
     shape = grid.shape
-    kappa = _drag_rate(system, params)
-    c = _wave_speed(system, params)
     nu, mu = params.nu, params.mu
     tab = ModePropagatorTable(system=system, grid=grid, dt=dt)
-
-    if system == "tns":
+    if spec.c is None:  # incompressible transport: heat flow alone
         tab.p11 = np.exp(-mu * grid.k2 * dt)
         return tab
 
-    if kappa is None:
-        l2, l3 = acoustic_eigenvalues(xi, nu, c)
-        d = _exp_diff(l2, l3, dt)
-        e3 = np.exp(l3 * dt)
-        aa = (e3 - l3 * d).reshape(shape)
-        av = (-c * xi * d).reshape(shape)
-        va = (c * xi * d).reshape(shape)
-        vv = (e3 + l2 * d).reshape(shape)
-        # (a, s_v) with s_v = e.v_hat; the i-factors of the potential variables
-        # turn the real acoustic entries into +-i couplings
-        tab.g11, tab.g12 = aa, 1j * av
-        tab.g21, tab.g22 = -1j * va, vv
+    c = spec.c(params)
+    if spec.has_drag:
+        kappa = spec.kappa(params)
+        g = green_compressible(xi, kappa, nu, c, dt)
+        tab.g00 = g["uu"].reshape(shape)
+        tab.g01 = (-1j * g["ua"]).reshape(shape)
+        tab.g02 = g["uv"].reshape(shape)
+        gi = green_incompressible(xi, kappa, mu, dt)
+        tab.p00 = gi["uu"].reshape(shape)
+        tab.p01 = gi["uv"].reshape(shape)
+        tab.p11 = gi["vv"].reshape(shape)
+    else:
+        g = green_acoustic(xi, nu, c, dt)
         tab.p11 = np.exp(-mu * grid.k2 * dt)
-        return tab
-
-    gc = green_compressible(xi, kappa, nu, c, dt)
-    tab.g00 = gc["uu"].reshape(shape)
-    tab.g01 = (-1j * gc["ua"]).reshape(shape)
-    tab.g02 = gc["uv"].reshape(shape)
-    tab.g11 = gc["aa"].reshape(shape)
-    tab.g12 = (1j * gc["av"]).reshape(shape)
-    tab.g21 = (-1j * gc["va"]).reshape(shape)
-    tab.g22 = gc["vv"].reshape(shape)
-    gi = green_incompressible(xi, kappa, mu, dt)
-    tab.p00 = gi["uu"].reshape(shape)
-    tab.p01 = gi["uv"].reshape(shape)
-    tab.p11 = gi["vv"].reshape(shape)
+    # (a, s_v) with s_v = e.v_hat; the i-factors of the potential variables
+    # turn the real acoustic entries into +-i couplings
+    tab.g11 = g["aa"].reshape(shape)
+    tab.g12 = (1j * g["av"]).reshape(shape)
+    tab.g21 = (-1j * g["va"]).reshape(shape)
+    tab.g22 = g["vv"].reshape(shape)
     return tab
 
 
@@ -193,40 +144,23 @@ def _split_parallel(grid: Grid, vec: np.ndarray):
 def apply_propagator(tab: ModePropagatorTable, state):
     """One exact linear step; pure per-mode arithmetic, no transforms."""
     g = tab.grid
-    if tab.system == "tns":
-        return StateTNS(
-            SpectralField(g, state.varrho.coeffs.copy()),
-            SpectralField(g, tab.p11 * state.w.coeffs),
-        )
+    spec = system_spec(tab.system)
+    if spec.c is None:  # incompressible transport: heat flow of w alone
+        return _with(state, w=SpectralField(g, tab.p11 * state.w.coeffs))
 
-    if tab.system in ("df", "df_scaled"):
-        sv, vperp = _split_parallel(g, state.v.coeffs)
-        a = state.a.coeffs
-        a_new = tab.g11 * a + tab.g12 * sv
-        sv_new = tab.g21 * a + tab.g22 * sv
-        v_new = g.ehat * sv_new[np.newaxis] + tab.p11 * vperp
-        return StateDF(
-            SpectralField(g, state.rho.coeffs.copy()),
-            SpectralField(g, a_new),
-            SpectralField(g, v_new),
-        )
-
-    su, uperp = _split_parallel(g, state.u.coeffs)
     sv, vperp = _split_parallel(g, state.v.coeffs)
     a = state.a.coeffs
-    su_new = tab.g00 * su + tab.g01 * a + tab.g02 * sv
-    a_new = tab.g11 * a + tab.g12 * sv
-    sv_new = tab.g21 * a + tab.g22 * sv
-    uperp_new = tab.p00 * uperp + tab.p01 * vperp
-    vperp_new = tab.p11 * vperp
-    u_new = g.ehat * su_new[np.newaxis] + uperp_new
-    v_new = g.ehat * sv_new[np.newaxis] + vperp_new
-    return StateEulerNS(
-        SpectralField(g, state.rho.coeffs.copy()),
-        SpectralField(g, u_new),
-        SpectralField(g, a_new),
-        SpectralField(g, v_new),
-    )
+    new = {
+        "a": SpectralField(g, tab.g11 * a + tab.g12 * sv),
+        "v": SpectralField(g, g.ehat * (tab.g21 * a + tab.g22 * sv)[np.newaxis]
+                           + tab.p11 * vperp),
+    }
+    if spec.has_drag:
+        su, uperp = _split_parallel(g, state.u.coeffs)
+        su_new = tab.g00 * su + tab.g01 * a + tab.g02 * sv
+        uperp_new = tab.p00 * uperp + tab.p01 * vperp
+        new["u"] = SpectralField(g, g.ehat * su_new[np.newaxis] + uperp_new)
+    return _with(state, **new)
 
 
 # ---------------------------------------------------------------------------
@@ -247,45 +181,31 @@ def apply_resolvent(tab: ResolventTable, state):
     g = tab.grid
     alpha = tab.alpha
     params = tab.params
-    mu, nu = params.mu, params.nu
-    c = _wave_speed(tab.system, params)
-    kappa = _drag_rate(tab.system, params)
-    k2 = g.k2
-    kmag = g.kmag
-
-    if tab.system == "tns":
-        return StateTNS(
-            SpectralField(g, state.varrho.coeffs.copy()),
-            SpectralField(g, state.w.coeffs / (1.0 + alpha * mu * k2)),
-        )
+    spec = system_spec(tab.system)
+    heat = 1.0 + alpha * params.mu * g.k2
+    if spec.c is None:
+        return _with(state, w=SpectralField(g, state.w.coeffs / heat))
 
     # acoustic block: solve  a + i*alpha*c*xi*sv = b_a ;
     #                        sv*(1 + alpha*nu*xi^2) + i*alpha*c*xi*a = b_sv
-    det = 1.0 + alpha * nu * k2 + alpha**2 * c**2 * k2
-
-    if tab.system in ("df", "df_scaled"):
-        sv, vperp = _split_parallel(g, state.v.coeffs)
-        a = state.a.coeffs
-        sv_new = (sv - 1j * alpha * c * kmag * a) / det
-        a_new = a - 1j * alpha * c * kmag * sv_new
-        v_new = g.ehat * sv_new[np.newaxis] + vperp / (1.0 + alpha * mu * k2)
-        return StateDF(SpectralField(g, state.rho.coeffs.copy()),
-                       SpectralField(g, a_new), SpectralField(g, v_new))
-
-    su, uperp = _split_parallel(g, state.u.coeffs)
+    c = spec.c(params)
+    kmag = g.kmag
+    det = 1.0 + alpha * params.nu * g.k2 + alpha**2 * c**2 * g.k2
     sv, vperp = _split_parallel(g, state.v.coeffs)
     a = state.a.coeffs
     sv_new = (sv - 1j * alpha * c * kmag * a) / det
-    a_new = a - 1j * alpha * c * kmag * sv_new
-    su_new = (su + alpha * kappa * sv_new) / (1.0 + alpha * kappa)
-    vperp_new = vperp / (1.0 + alpha * mu * k2)
-    uperp_new = (uperp + alpha * kappa * vperp_new) / (1.0 + alpha * kappa)
-    return StateEulerNS(
-        SpectralField(g, state.rho.coeffs.copy()),
-        SpectralField(g, g.ehat * su_new[np.newaxis] + uperp_new),
-        SpectralField(g, a_new),
-        SpectralField(g, g.ehat * sv_new[np.newaxis] + vperp_new),
-    )
+    vperp_new = vperp / heat
+    new = {
+        "a": SpectralField(g, a - 1j * alpha * c * kmag * sv_new),
+        "v": SpectralField(g, g.ehat * sv_new[np.newaxis] + vperp_new),
+    }
+    if spec.has_drag:
+        kappa = spec.kappa(params)
+        su, uperp = _split_parallel(g, state.u.coeffs)
+        su_new = (su + alpha * kappa * sv_new) / (1.0 + alpha * kappa)
+        uperp_new = (uperp + alpha * kappa * vperp_new) / (1.0 + alpha * kappa)
+        new["u"] = SpectralField(g, g.ehat * su_new[np.newaxis] + uperp_new)
+    return _with(state, **new)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +223,25 @@ class Stepper:
         self.dt = dt
         if scheme.kind == "exp_euler":
             self.e_full = precompute_mode_propagators(grid, params, dt, system)
-        elif scheme.kind == "exp_rk2":
+        else:
             self.e_half = precompute_mode_propagators(grid, params, 0.5 * dt, system)
-        else:  # imex_bdf2
-            self.e_half = precompute_mode_propagators(grid, params, 0.5 * dt, system)
-            self.resolvent = ResolventTable(system, grid, 2.0 * dt / 3.0, params)
-            self._prev = None
-            self._prev_nl = None
+        # imex_bdf2 only: its implicit solve and its two-step history
+        self.resolvent = ResolventTable(system, grid, 2.0 * dt / 3.0, params)
+        self._prev = None
+        self._prev_nl = None
 
     def _nl(self, state):
         if self.scheme.linear_only:
             return state_lincomb(0.0, state)
         return nonlinear_rhs(self.system, state, self.params)
+
+    def _midpoint(self, state, k1):
+        """Exponential midpoint step, given the nonlinearity k1 at ``state``."""
+        dt = self.dt
+        mid = apply_propagator(self.e_half, state_lincomb(1.0, state, 0.5 * dt, k1))
+        k2 = self._nl(mid)
+        half = apply_propagator(self.e_half, state)
+        return apply_propagator(self.e_half, state_lincomb(1.0, half, dt, k2))
 
     def step(self, state):
         dt = self.dt
@@ -322,18 +249,11 @@ class Stepper:
             k1 = self._nl(state)
             return apply_propagator(self.e_full, state_lincomb(1.0, state, dt, k1))
         if self.scheme.kind == "exp_rk2":
-            k1 = self._nl(state)
-            mid = apply_propagator(self.e_half, state_lincomb(1.0, state, 0.5 * dt, k1))
-            k2 = self._nl(mid)
-            half = apply_propagator(self.e_half, state)
-            return apply_propagator(self.e_half, state_lincomb(1.0, half, dt, k2))
+            return self._midpoint(state, self._nl(state))
         # imex_bdf2 with an exponential midpoint start step
         nl_n = self._nl(state)
         if self._prev is None:
-            mid = apply_propagator(self.e_half, state_lincomb(1.0, state, 0.5 * dt, nl_n))
-            k2 = self._nl(mid)
-            half = apply_propagator(self.e_half, state)
-            new = apply_propagator(self.e_half, state_lincomb(1.0, half, dt, k2))
+            new = self._midpoint(state, nl_n)
         else:
             lhs = state_lincomb(4.0 / 3.0, state, -1.0 / 3.0, self._prev)
             force = state_lincomb(2.0, nl_n, -1.0, self._prev_nl)
@@ -405,9 +325,6 @@ class Trajectory:
     checkpoints: list
     meta: dict
 
-    def block_series(self, name: str) -> BlockTimeSeries:
-        return self.blocks[name]
-
 
 # ---------------------------------------------------------------------------
 # driver
@@ -415,7 +332,7 @@ class Trajectory:
 
 def estimate_dt(state, scheme: Scheme) -> float:
     sup = 1e-12
-    for f in _state_fields(state):
+    for f in state.fields().values():
         if f.is_vector:
             sup = max(sup, float(np.max(np.sqrt(np.sum(to_physical(f) ** 2, axis=0)))))
     dt = scheme.cfl_safety * state.grid.dx / sup
@@ -423,7 +340,9 @@ def estimate_dt(state, scheme: Scheme) -> float:
 
 
 def _amplitude(state) -> float:
-    return max(float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2))) for f in _state_fields(state))
+    """Largest coefficient 2-norm over the fields; NaN if any field holds one."""
+    return float(np.max([np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
+                         for f in state.fields().values()]))
 
 
 def integrate(
@@ -451,7 +370,8 @@ def integrate(
     dt_main = scheme.dt if scheme.dt is not None else estimate_dt(state0, scheme)
     dt_main = min(dt_main, T) if T > 0 else dt_main
 
-    kappa = _drag_rate(system, params)
+    spec = system_spec(system)
+    kappa = spec.kappa(params) if spec.has_drag else None
     phases = []
     t_ramp = 0.0
     if T > 0 and scheme.ramp and kappa is not None and 1.0 / kappa < 0.5 * dt_main:
@@ -466,27 +386,26 @@ def integrate(
         sample_dt = max(dt_main, T / 2000.0) if T > 0 else 1.0
 
     times = [0.0]
-    scalars = {o.name: [] for o in observers if o.kind == "scalar"}
-    blocks = {o.name: [] for o in observers if o.kind == "blocks"}
-    fields = {o.name: [] for o in observers if o.kind == "fields"}
-    checkpoints = []
+    samples = {o.name: [] for o in observers}
 
     def take_sample(state, t):
         for o in observers:
-            val = o.sample(state, t)
-            if o.kind == "scalar":
-                scalars[o.name].append(val)
-            elif o.kind == "blocks":
-                blocks[o.name].append(val)
-            elif o.kind == "fields":
-                fields[o.name].append(val)
-            elif o.kind == "checkpoint":
-                checkpoints.append((t, val))
+            samples[o.name].append(o.sample(state, t))
 
     state = state0.copy()
     take_sample(state, 0.0)
-    amp0 = _amplitude(state)
+    amp_limit = divergence_factor * max(_amplitude(state), 1e-300)
     masses0 = {k: f.zero_mode().copy() for k, f in state.fields().items() if not f.is_vector}
+
+    def guard(state, t):
+        # written so that a NaN amplitude fails it
+        if not _amplitude(state) <= amp_limit:
+            raise Diverged(f"amplitude non-finite or grown by more than "
+                           f"{divergence_factor:g} at t = {t:.4g}")
+        try:
+            state.validate()
+        except Exception as exc:
+            raise StepRejected(str(exc)) from exc
 
     t0 = 0.0
     steps_done = 0
@@ -499,14 +418,7 @@ def integrate(
             t = t0 + (i + 1) * dt
             steps_done += 1
             if steps_done % validate_every == 0:
-                if not np.all(np.isfinite(state.fields()[next(iter(state.fields()))].coeffs.view(np.float64))):
-                    raise Diverged(f"non-finite state at t = {t:.4g}")
-                if _amplitude(state) > divergence_factor * max(amp0, 1e-300):
-                    raise Diverged(f"amplitude grew by more than {divergence_factor:g} at t = {t:.4g}")
-                try:
-                    state.validate()
-                except Exception as exc:
-                    raise StepRejected(str(exc)) from exc
+                guard(state, t)
             at_end = (i == nsteps - 1) and (t0 + span >= T - 1e-12)
             if dense or t >= next_sample - 1e-12 or at_end:
                 if abs(t - times[-1]) > 1e-12:
@@ -515,6 +427,8 @@ def integrate(
                 while next_sample <= t + 1e-12:
                     next_sample += sample_dt
         t0 += span
+    if steps_done % validate_every != 0:
+        guard(state, times[-1])
 
     drift = 0.0
     for k, z0 in masses0.items():
@@ -528,17 +442,16 @@ def integrate(
         "mass_drift": float(np.real(drift)),
         "final_state": state,
     }
-    blocks_out = {}
     fam = family_for(grid)
-    for name, rows in blocks.items():
-        blocks_out[name] = BlockTimeSeries(
-            times=np.array(times), j_values=fam.j_values, values=np.array(rows).T
-        )
+    by_kind = {kind: [o for o in observers if o.kind == kind]
+               for kind in ("scalar", "blocks", "fields", "checkpoint")}
     return Trajectory(
         times=np.array(times),
-        scalars={k: np.array(v) for k, v in scalars.items()},
-        blocks=blocks_out,
-        fields=fields,
-        checkpoints=checkpoints,
+        scalars={o.name: np.array(samples[o.name]) for o in by_kind["scalar"]},
+        blocks={o.name: BlockTimeSeries(np.array(times), fam.j_values,
+                                        np.array(samples[o.name]).T, p=o.p)
+                for o in by_kind["blocks"]},
+        fields={o.name: samples[o.name] for o in by_kind["fields"]},
+        checkpoints=[(t, s) for o in by_kind["checkpoint"] for t, s in zip(times, samples[o.name])],
         meta=meta,
     )

@@ -151,42 +151,18 @@ def incompressible_matrix(xi, kappa: float, mu: float) -> np.ndarray:
     return np.array([[-kappa, kappa], [0.0, -mu * xi**2]])
 
 
-@dataclass(frozen=True)
-class CompressibleSymbol:
-    """Per-mode compressible generator; at nu = 1, kappa = 1/tau this is the
-    drag-acoustic matrix of the unscaled system."""
-
-    xi: float
-    tau: float
-    nu: float
-    c: float = 1.0
-
-    @property
-    def kappa(self) -> float:
-        return 1.0 / self.tau
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return compressible_matrix(self.xi, self.kappa, self.nu, self.c)
-
-
-@dataclass(frozen=True)
-class IncompressibleSymbol:
-    xi: float
-    tau: float
-    mu: float
-
-    @property
-    def kappa(self) -> float:
-        return 1.0 / self.tau
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return incompressible_matrix(self.xi, self.kappa, self.mu)
-
-
 # ---------------------------------------------------------------------------
 # Green's function entries, vectorized over xi
+
+
+def green_acoustic(xi, nu: float, c: float, t: float) -> dict[str, np.ndarray]:
+    """Entries of the exponential of the 2x2 acoustic block on (a, psi):
+    keys aa, av, va, vv, as arrays over xi."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    l2, l3 = acoustic_eigenvalues(xi, nu, c)
+    d = _exp_diff(l2, l3, t)                       # (e^{l2 t}-e^{l3 t})/(l2-l3)
+    e3 = np.exp(l3 * t)
+    return {"aa": e3 - l3 * d, "av": -c * xi * d, "va": c * xi * d, "vv": e3 + l2 * d}
 
 
 def green_compressible(xi, kappa: float, nu: float, c: float, t: float) -> dict[str, np.ndarray]:
@@ -197,15 +173,9 @@ def green_compressible(xi, kappa: float, nu: float, c: float, t: float) -> dict[
     guards are recomputed with a dense matrix exponential.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    out = green_acoustic(xi, nu, c, t)
     l2, l3 = acoustic_eigenvalues(xi, nu, c)
     ekt = np.exp(-kappa * t)
-
-    d = _exp_diff(l2, l3, t)                       # (e^{l2 t}-e^{l3 t})/(l2-l3)
-    e3 = np.exp(l3 * t)
-    aa = e3 - l3 * d
-    av = -c * xi * d
-    va = c * xi * d
-    vv = e3 + l2 * d
 
     p2 = _pair_delta(l2, kappa, t)                 # (e^{l2 t}-e^{-k t})/(k+l2)
     p3 = _pair_delta(l3, kappa, t)
@@ -223,10 +193,11 @@ def green_compressible(xi, kappa: float, nu: float, c: float, t: float) -> dict[
         for i in bad:
             g = expm(compressible_matrix(xi[i], kappa, nu, c) * t)
             uu[i], ua[i], uv[i] = g[0, 0], g[0, 1], g[0, 2]
-            aa[i], av[i] = g[1, 1], g[1, 2]
-            va[i], vv[i] = g[2, 1], g[2, 2]
+            out["aa"][i], out["av"][i] = g[1, 1], g[1, 2]
+            out["va"][i], out["vv"][i] = g[2, 1], g[2, 2]
 
-    return {"uu": uu, "ua": ua, "uv": uv, "aa": aa, "av": av, "va": va, "vv": vv}
+    out.update(uu=uu, ua=ua, uv=uv)
+    return out
 
 
 def green_incompressible(xi, kappa: float, mu: float, t: float) -> dict[str, np.ndarray]:

@@ -195,7 +195,7 @@ def from_physical(grid: Grid, values: np.ndarray) -> SpectralField:
     values = np.asarray(values, dtype=np.float64)
     norm = grid.npts**grid.dim
     axes = tuple(range(-grid.dim, 0))
-    coeffs = sfft.fftn(values, axes=axes, workers=-1) / norm
+    coeffs = sfft.fftn(values, axes=axes) / norm
     return SpectralField(grid, coeffs)
 
 
@@ -203,7 +203,7 @@ def to_physical(f: SpectralField) -> np.ndarray:
     """Inverse transform; returns real samples on the grid."""
     norm = f.grid.npts**f.grid.dim
     axes = tuple(range(-f.grid.dim, 0))
-    return sfft.ifftn(f.coeffs * norm, axes=axes, workers=-1).real
+    return sfft.ifftn(f.coeffs * norm, axes=axes).real
 
 
 def hermitize(f: SpectralField) -> SpectralField:

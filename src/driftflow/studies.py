@@ -7,6 +7,7 @@ dyadic machinery, and fits log-log slopes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -24,14 +25,7 @@ from .besov import (
     split_low_high,
 )
 from .errors import NonPositiveData, WindowTooShort
-from .initial_data import (
-    DataRecipe,
-    coupled_euler_ns_data,
-    df_state,
-    euler_ns_state,
-    localized_df_state,
-    localized_euler_ns_state,
-)
+from .initial_data import DataRecipe, coupled_euler_ns_data, df_state, euler_ns_state, initial_state
 from .integrate import (
     BlockObserver,
     CheckpointObserver,
@@ -40,8 +34,8 @@ from .integrate import (
     Trajectory,
     integrate,
 )
-from .spectral import Grid, PhysParams, SpectralField, div, multiply
-from .systems import StateDF, StateEulerNS, effective_mixed_velocity
+from .spectral import Grid, PhysParams, SpectralField, div, leray_project, multiply
+from .systems import StateDF, StateEulerNS, effective_mixed_velocity, system_spec
 
 
 # ---------------------------------------------------------------------------
@@ -60,50 +54,40 @@ class RateFit:
         return f"slope {self.slope:+.4f} (se {self.stderr:.4f}, r2 {self.r_squared:.4f})"
 
 
+def _least_squares(x: np.ndarray, y: np.ndarray) -> RateFit:
+    """Ordinary least squares of y on x; needs >= 3 points."""
+    n = len(x)
+    if n < 3:
+        raise NonPositiveData("need at least 3 points")
+    xbar = x.mean()
+    sxx = np.sum((x - xbar) ** 2)
+    slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
+    intercept = float(y.mean() - slope * xbar)
+    resid = y - (intercept + slope * x)
+    ss_res = float(np.sum(resid**2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
+    stderr = math.sqrt(ss_res / (n - 2) / sxx)
+    return RateFit(slope, intercept, stderr, min(r2, 1.0), list(zip(x.tolist(), y.tolist())))
+
+
 def rate_fit(xs, ys) -> RateFit:
     """Ordinary least squares of log(y) on log(x); needs >= 3 positive pairs."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if len(xs) < 3:
-        raise NonPositiveData("need at least 3 points")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise NonPositiveData("log-log fit requires positive data")
-    lx, ly = np.log(xs), np.log(ys)
-    n = len(lx)
-    xbar = lx.mean()
-    sxx = np.sum((lx - xbar) ** 2)
-    slope = float(np.sum((lx - xbar) * (ly - ly.mean())) / sxx)
-    intercept = float(ly.mean() - slope * xbar)
-    resid = ly - (intercept + slope * lx)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
-    stderr = math.sqrt(ss_res / max(n - 2, 1) / sxx) if n > 2 else 0.0
-    return RateFit(slope, intercept, stderr, min(r2, 1.0), list(zip(lx.tolist(), ly.tolist())))
+    return _least_squares(np.log(xs), np.log(ys))
 
 
 def exp_rate_fit(times, values) -> RateFit:
     """Least squares of log(value) on time; ``slope`` is the decay rate
     (sign flipped, positive when the data decays)."""
-    times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if len(times) < 3:
-        raise NonPositiveData("need at least 3 points")
     if np.any(values <= 0):
         raise NonPositiveData("exponential fit requires positive data")
-    ly = np.log(values)
-    n = len(times)
-    xbar = times.mean()
-    sxx = np.sum((times - xbar) ** 2)
-    slope = float(np.sum((times - xbar) * (ly - ly.mean())) / sxx)
-    intercept = float(ly.mean() - slope * xbar)
-    resid = ly - (intercept + slope * times)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
-    stderr = math.sqrt(ss_res / max(n - 2, 1) / sxx) if n > 2 else 0.0
-    return RateFit(-slope, intercept, stderr, min(r2, 1.0),
-                   list(zip(times.tolist(), ly.tolist())))
+    fit = _least_squares(np.asarray(times, dtype=np.float64), np.log(values))
+    return dataclasses.replace(fit, slope=-fit.slope)
 
 
 def fit_decay_exponent(times, values, t_window=None) -> RateFit:
@@ -116,7 +100,7 @@ def fit_decay_exponent(times, values, t_window=None) -> RateFit:
     if len(times) < 8:
         raise WindowTooShort(f"only {len(times)} samples in the fit window")
     fit = rate_fit(1.0 + times, values)
-    return RateFit(-fit.slope, fit.intercept, fit.stderr, fit.r_squared, fit.points)
+    return dataclasses.replace(fit, slope=-fit.slope)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +369,13 @@ def decay_study(
     fit_uv = fit_decay_exponent(ts, uv_norm, window)
     fit_rel = fit_decay_exponent(ts, rel_norm, window)
 
-    # distance to the terminal density profile: || int_t^T div(rho u) ds ||
+    # distance to the terminal density profile: || int_t^T div(rho u) ds ||,
+    # the trapezoid increments summed backwards from the final time
     flux = np.stack(traj.fields["div_rho_u"])
-    tail_norms = []
-    for i in range(len(ts)):
-        seg = np.trapezoid(flux[i:], ts[i:], axis=0)
-        tail_norms.append(besov_norm(SpectralField(grid, seg), s=0.0))
-    tail_norms = np.array(tail_norms)
+    tails = flux[1:] + flux[:-1]
+    tails *= 0.5 * np.diff(ts).reshape((-1,) + (1,) * grid.dim)
+    np.cumsum(tails[::-1], axis=0, out=tails[::-1])
+    tail_norms = np.array([besov_norm(SpectralField(grid, seg), s=0.0) for seg in tails] + [0.0])
     in_win = (ts >= window[0]) & (ts <= window[1])
     tail_monotone = bool(np.all(np.diff(tail_norms[in_win]) <= 1e-12))
 
@@ -459,25 +443,16 @@ def incompressible_study(
     if d == 2:
         flags.append("two-dimensional exponent family")
 
-    meas = {"acoustic_norm": [], "relative_norm": []}
+    drag = system_spec(system).has_drag
+    state0 = initial_state(system, grid, dataclasses.replace(recipe, localized=True))
+    meas = {"acoustic_norm": [], **({"relative_norm": []} if drag else {})}
     for eps in eps_list:
         params = PhysParams(tau=eps, eps=eps, mu=mu, lam=lam)
-        if system == "df_scaled":
-            state0 = localized_df_state(grid, recipe)
-        else:
-            state0 = localized_euler_ns_state(grid, recipe)
-
-        def qv(s):
-            from .spectral import leray_project
-
-            _, q = leray_project(s.v)
-            return q
-
         obs = [
             BlockObserver("a_p", lambda s: s.a, p=p),
-            BlockObserver("qv_p", qv, p=p),
+            BlockObserver("qv_p", lambda s: leray_project(s.v)[1], p=p),
         ]
-        if system == "euler_ns_scaled":
+        if drag:
             obs.append(BlockObserver("rel", lambda s: s.u - s.v))
         dt = min(dt_cap, eps / 4.0)
         sample_dt = min(2.0 * dt_cap, eps / 8.0)
@@ -485,13 +460,9 @@ def incompressible_study(
         na = chemin_lerner_norm(traj.blocks["a_p"], 2.0, s_p)
         nq = chemin_lerner_norm(traj.blocks["qv_p"], 2.0, s_p)
         meas["acoustic_norm"].append(na + nq)
-        if system == "euler_ns_scaled":
+        if drag:
             meas["relative_norm"].append(chemin_lerner_norm(traj.blocks["rel"], 1.0, d2))
-    fits = {"acoustic_norm": rate_fit(eps_list, meas["acoustic_norm"])}
-    if meas["relative_norm"]:
-        fits["relative_norm"] = rate_fit(eps_list, meas["relative_norm"])
-    else:
-        del meas["relative_norm"]
+    fits = {k: rate_fit(eps_list, vals) for k, vals in meas.items()}
     return StudyResult(
         "incompressible", "eps", list(eps_list), meas, fits, flags,
         details={"p": p, "besov_index": s_p, "free_space_slope": free_space_slope, "T": T,

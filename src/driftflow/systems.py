@@ -1,5 +1,7 @@
 """
-States and right-hand sides for the five flow variants:
+States, right-hand sides and the system table.
+
+The five flow variants are scalings of three rhs families:
 
   euler_ns          pressureless phase (rho, u) drag-coupled to a viscous
                     compressible phase (n = 1 + a, v)
@@ -7,6 +9,9 @@ States and right-hand sides for the five flow variants:
   tns               passive density transported by incompressible flow
   euler_ns_scaled   Mach-scaled variant with drag rate 1/(eps*tau)
   df_scaled         Mach-scaled drift-flux variant
+
+``euler_ns`` and ``df`` are their Mach-scaled forms at eps = 1; ``SYSTEMS``
+maps each name to its state class, its nonlinear rhs and its linear symbol.
 
 Velocity equations are advanced in non-conservative form; transport
 equations in divergence form, so their zero Fourier mode is exactly
@@ -25,7 +30,9 @@ integrator treats exactly (drag, acoustics, viscosity).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +51,7 @@ from .spectral import (
     to_physical,
 )
 
-N_MIN = 0.1          # admissibility floor for the gas density 1 + a
+N_MIN = 0.1          # admissibility floor for the gas density 1 + eps*a
 MIX_FLOOR = 0.05     # admissibility floor for the mixture density
 RHO_NEG_TOL = 1e-10  # absolute floor of the rho >= 0 truncation tolerance
 RHO_NEG_REL = 1e-5   # relative part: dealiasing ripple scales with sup|rho|
@@ -54,27 +61,29 @@ RHO_NEG_REL = 1e-5   # relative part: dealiasing ripple scales with sup|rho|
 # states
 
 
+class _State:
+    """Field access shared by the state dataclasses, in declaration order."""
+
+    def fields(self) -> dict[str, SpectralField]:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    @property
+    def grid(self) -> Grid:
+        return getattr(self, dataclasses.fields(self)[0].name).grid
+
+    def copy(self):
+        return type(self)(*[f.copy() for f in self.fields().values()])
+
+
 @dataclass
-class StateEulerNS:
+class StateEulerNS(_State):
     rho: SpectralField
     u: SpectralField
     a: SpectralField
     v: SpectralField
 
-    @property
-    def grid(self) -> Grid:
-        return self.rho.grid
-
-    def fields(self):
-        return {"rho": self.rho, "u": self.u, "a": self.a, "v": self.v}
-
-    def copy(self):
-        return StateEulerNS(self.rho.copy(), self.u.copy(), self.a.copy(), self.v.copy())
-
     def validate(self):
-        a_ph = to_physical(self.a)
-        if float(np.min(1.0 + a_ph)) <= N_MIN:
-            raise VacuumGas(f"min(1+a) = {np.min(1.0 + a_ph):.4g} <= {N_MIN}")
+        _gas_density(to_physical(self.a), 1.0)
         rho_ph = to_physical(self.rho)
         tol = max(RHO_NEG_TOL, RHO_NEG_REL * float(np.max(np.abs(rho_ph))))
         if float(np.min(rho_ph)) < -tol:
@@ -83,20 +92,10 @@ class StateEulerNS:
 
 
 @dataclass
-class StateDF:
+class StateDF(_State):
     rho: SpectralField
     a: SpectralField
     v: SpectralField
-
-    @property
-    def grid(self) -> Grid:
-        return self.rho.grid
-
-    def fields(self):
-        return {"rho": self.rho, "a": self.a, "v": self.v}
-
-    def copy(self):
-        return StateDF(self.rho.copy(), self.a.copy(), self.v.copy())
 
     def validate(self):
         mix = to_physical(self.rho) + 1.0 + to_physical(self.a)
@@ -106,19 +105,9 @@ class StateDF:
 
 
 @dataclass
-class StateTNS:
+class StateTNS(_State):
     varrho: SpectralField
     w: SpectralField
-
-    @property
-    def grid(self) -> Grid:
-        return self.varrho.grid
-
-    def fields(self):
-        return {"varrho": self.varrho, "w": self.w}
-
-    def copy(self):
-        return StateTNS(self.varrho.copy(), self.w.copy())
 
     def validate(self):
         d = div(self.w)
@@ -150,12 +139,26 @@ def _div_flux(grid: Grid, dens_ph: np.ndarray, vel_ph: np.ndarray) -> SpectralFi
     return div(flux)
 
 
+def _gas_density(a_ph: np.ndarray, eps: float) -> np.ndarray:
+    """The gas density 1 + eps*a, rejected at or below the N_MIN floor."""
+    n_ph = 1.0 + eps * a_ph
+    if float(np.min(n_ph)) <= N_MIN:
+        raise VacuumGas(f"min(1 + eps a) = {np.min(n_ph):.4g} <= {N_MIN}")
+    return n_ph
+
+
+def _mixture(rho_ph: np.ndarray, a_ph: np.ndarray, eps: float) -> np.ndarray:
+    """The mixture density 1 + eps*(rho + a), rejected at or below MIX_FLOOR."""
+    mix = 1.0 + eps * (rho_ph + a_ph)
+    if float(np.min(mix)) <= MIX_FLOOR:
+        raise DegenerateMixture(f"min(1 + eps(rho+a)) = {np.min(mix):.4g} <= {MIX_FLOOR}")
+    return mix
+
+
 def pressure_terms(a: SpectralField, gamma: float) -> tuple[SpectralField, SpectralField]:
     """The pointwise pressure coefficients g(a) and f(a), dealiased."""
     a_ph = to_physical(a)
-    n_ph = 1.0 + a_ph
-    if float(np.min(n_ph)) <= N_MIN:
-        raise VacuumGas(f"min(1+a) = {np.min(n_ph):.4g} <= {N_MIN}")
+    n_ph = _gas_density(a_ph, 1.0)
     g_ph = 1.0 - n_ph ** (gamma - 2.0)
     f_ph = -a_ph / n_ph
     return pointwise(a.grid, g_ph), pointwise(a.grid, f_ph)
@@ -165,29 +168,42 @@ def _visc(v: SpectralField, mu: float, lam: float) -> SpectralField:
     return mu * laplacian(v) + (mu + lam) * grad_div(v)
 
 
+def _pressure_slope_ratio(x: np.ndarray, gamma: float) -> np.ndarray:
+    """(P'(1+x) - 1)/x, smoothly completed with value gamma-1 at x = 0."""
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-8
+    out[small] = (gamma - 1.0) + 0.5 * (gamma - 1.0) * (gamma - 2.0) * x[small]
+    xb = x[~small]
+    out[~small] = ((1.0 + xb) ** (gamma - 1.0) - 1.0) / xb
+    return out
+
+
 # ---------------------------------------------------------------------------
-# euler_ns
+# two-phase family: euler_ns, euler_ns_scaled
 
 
-def rhs_euler_ns(state: StateEulerNS, params: PhysParams, include_linear: bool = True) -> StateEulerNS:
+def rhs_euler_ns_scaled(
+    state: StateEulerNS, eps: float, tau: float, params: PhysParams, include_linear: bool = True
+) -> StateEulerNS:
     """
+    Mach-scaled drag-coupled system with friction rate kappa = 1/(eps*tau)
+    and sound speed 1/eps; the combined-limit regime uses tau = eps.  With
+    the gas density n = 1 + eps*a:
+
     d/dt rho = -div(rho u)
-    d/dt u   = -u.grad u - (1/tau)(u - v)
-    d/dt a   = -div v - div(a v)
-    d/dt v   = -v.grad v - grad a + mu lap v + (mu+lam) grad div v
-               + (1/tau) rho (u - v) + g(a) grad a
-               + f(a)(mu lap v + (mu+lam) grad div v) + (1/tau) f(a) rho (u-v)
+    d/dt u   = -u.grad u - kappa (u - v)
+    d/dt a   = -(1/eps) div v - div(a v)
+    d/dt v   = -v.grad v - (P'(n)/(eps n)) grad a
+               + (mu lap v + (mu+lam) grad div v)/n + rho (u - v)/(tau n)
     """
     g = state.grid
-    tau, mu, lam, gamma = params.tau, params.mu, params.lam, params.gamma
-
+    mu, lam, gamma = params.mu, params.lam, params.gamma
+    kappa = 1.0 / (eps * tau)
     rho_ph = to_physical(state.rho)
     u_ph = to_physical(state.u)
     v_ph = to_physical(state.v)
     a_ph = to_physical(state.a)
-    n_ph = 1.0 + a_ph
-    if float(np.min(n_ph)) <= N_MIN:
-        raise VacuumGas(f"min(1+a) = {np.min(n_ph):.4g} <= {N_MIN}")
+    m_ph = _gas_density(a_ph, eps)
 
     drho = -1.0 * _div_flux(g, rho_ph, u_ph)
     du = pointwise(g, -_advect(u_ph, state.u))
@@ -196,17 +212,36 @@ def rhs_euler_ns(state: StateEulerNS, params: PhysParams, include_linear: bool =
     grad_a_ph = to_physical(grad(state.a))
     visc_v = _visc(state.v, mu, lam)
     visc_ph = to_physical(visc_v)
-    fa = -a_ph / n_ph
-    ga = 1.0 - n_ph ** (gamma - 2.0)
+    pr = a_ph * _pressure_slope_ratio(eps * a_ph, gamma)
     rel_ph = u_ph - v_ph
-    drag_v = (rho_ph / tau) * rel_ph * (1.0 + fa)  # 1 + f(a) = 1/(1+a)
-    dv = pointwise(g, -_advect(v_ph, state.v) + ga * grad_a_ph + fa * visc_ph + drag_v)
+    drag_v = rho_ph * rel_ph / (tau * m_ph)
+    dv = pointwise(
+        g,
+        -_advect(v_ph, state.v)
+        - ((pr - a_ph) / m_ph) * grad_a_ph
+        + (1.0 / m_ph - 1.0) * visc_ph
+        + drag_v,
+    )
 
     if include_linear:
-        du = SpectralField(g, du.coeffs - (state.u.coeffs - state.v.coeffs) / tau)
-        da = da - div(state.v)
-        dv = SpectralField(g, dv.coeffs - grad(state.a).coeffs + visc_v.coeffs)
+        du = SpectralField(g, du.coeffs - kappa * (state.u.coeffs - state.v.coeffs))
+        da = da - (1.0 / eps) * div(state.v)
+        dv = SpectralField(g, dv.coeffs - grad(state.a).coeffs / eps + visc_v.coeffs)
     return StateEulerNS(drho, du, da, dv)
+
+
+def rhs_euler_ns(state: StateEulerNS, params: PhysParams, include_linear: bool = True) -> StateEulerNS:
+    """
+    The unscaled system, ``rhs_euler_ns_scaled`` at eps = 1:
+
+    d/dt rho = -div(rho u)
+    d/dt u   = -u.grad u - (1/tau)(u - v)
+    d/dt a   = -div v - div(a v)
+    d/dt v   = -v.grad v - grad a + mu lap v + (mu+lam) grad div v
+               + (1/tau) rho (u - v) + g(a) grad a
+               + f(a)(mu lap v + (mu+lam) grad div v) + (1/tau) f(a) rho (u-v)
+    """
+    return rhs_euler_ns_scaled(state, 1.0, params.tau, params, include_linear)
 
 
 def linear_rhs_euler_ns(state: StateEulerNS, params: PhysParams) -> StateEulerNS:
@@ -220,29 +255,22 @@ def linear_rhs_euler_ns(state: StateEulerNS, params: PhysParams) -> StateEulerNS
 
 
 # ---------------------------------------------------------------------------
-# drift-flux
+# drift-flux family: df, df_scaled
 
 
-def _mixture(rho_ph, a_ph):
-    mix = rho_ph + 1.0 + a_ph
-    if float(np.min(mix)) <= MIX_FLOOR:
-        raise DegenerateMixture(f"min(rho + n) = {np.min(mix):.4g} <= {MIX_FLOOR}")
-    return mix
-
-
-def rhs_df(state: StateDF, params: PhysParams, include_linear: bool = True) -> StateDF:
+def rhs_df_scaled(state: StateDF, eps: float, params: PhysParams, include_linear: bool = True) -> StateDF:
     """
-    d/dt rho = -div(rho v)
-    d/dt a   = -div v - div(a v)
-    d/dt v   = -v.grad v - (P'(1+a)/(rho+1+a)) grad a
-               + (mu lap v + (mu+lam) grad div v)/(rho+1+a)
+    Mach-scaled drift-flux system.  The stiff pressure gradient enters only
+    through the linear acoustic part (1/eps) grad a; the remaining pressure
+    contribution is the O(1) pointwise coefficient
+    (a*(P'(1+eps a)-1)/(eps a) - rho - a) / (1 + eps(rho+a)).
     """
     g = state.grid
     mu, lam, gamma = params.mu, params.lam, params.gamma
     rho_ph = to_physical(state.rho)
     a_ph = to_physical(state.a)
     v_ph = to_physical(state.v)
-    mix = _mixture(rho_ph, a_ph)
+    m_ph = _mixture(rho_ph, a_ph, eps)
 
     drho = -1.0 * _div_flux(g, rho_ph, v_ph)
     da = -1.0 * _div_flux(g, a_ph, v_ph)
@@ -250,15 +278,30 @@ def rhs_df(state: StateDF, params: PhysParams, include_linear: bool = True) -> S
     grad_a_ph = to_physical(grad(state.a))
     visc_v = _visc(state.v, mu, lam)
     visc_ph = to_physical(visc_v)
-    pcoef = (1.0 + a_ph) ** (gamma - 1.0) / mix  # P'(n)/(rho+n)
+    pr = a_ph * _pressure_slope_ratio(eps * a_ph, gamma)
     dv = pointwise(
-        g, -_advect(v_ph, state.v) - (pcoef - 1.0) * grad_a_ph + (1.0 / mix - 1.0) * visc_ph
+        g,
+        -_advect(v_ph, state.v)
+        - ((pr - rho_ph - a_ph) / m_ph) * grad_a_ph
+        + (1.0 / m_ph - 1.0) * visc_ph,
     )
 
     if include_linear:
-        da = da - div(state.v)
-        dv = SpectralField(g, dv.coeffs - grad(state.a).coeffs + visc_v.coeffs)
+        da = da - (1.0 / eps) * div(state.v)
+        dv = SpectralField(g, dv.coeffs - grad(state.a).coeffs / eps + visc_v.coeffs)
     return StateDF(drho, da, dv)
+
+
+def rhs_df(state: StateDF, params: PhysParams, include_linear: bool = True) -> StateDF:
+    """
+    The unscaled system, ``rhs_df_scaled`` at eps = 1:
+
+    d/dt rho = -div(rho v)
+    d/dt a   = -div v - div(a v)
+    d/dt v   = -v.grad v - (P'(1+a)/(rho+1+a)) grad a
+               + (mu lap v + (mu+lam) grad div v)/(rho+1+a)
+    """
+    return rhs_df_scaled(state, 1.0, params, include_linear)
 
 
 def momentum_rhs_df_conservative(state: StateDF, params: PhysParams) -> SpectralField:
@@ -292,7 +335,7 @@ def momentum_rhs_df_nonconservative(state: StateDF, params: PhysParams) -> Spect
 
 
 # ---------------------------------------------------------------------------
-# transport-Navier-Stokes
+# transport family: tns
 
 
 def rhs_tns(state: StateTNS, params: PhysParams, include_linear: bool = True) -> StateTNS:
@@ -312,123 +355,93 @@ def rhs_tns(state: StateTNS, params: PhysParams, include_linear: bool = True) ->
 
 
 # ---------------------------------------------------------------------------
-# scaled variants
+# the system table
+#
+# Each entry stores the split an exponential integrator works with: the
+# nonlinear rhs, taken explicitly, and the constant-coefficient symbol that
+# is applied exactly per mode.  The symbol is the drag rate kappa and the
+# sound speed c, both functions of the parameters; the viscosities come from
+# the parameters directly.  The entries call the rhs by their module-global
+# names at call time, so a rebinding of those names (a profiler's wrapper)
+# reaches every caller.
 
 
-def _pressure_slope_ratio(x: np.ndarray, gamma: float) -> np.ndarray:
-    """(P'(1+x) - 1)/x, smoothly completed with value gamma-1 at x = 0."""
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-8
-    out[small] = (gamma - 1.0) + 0.5 * (gamma - 1.0) * (gamma - 2.0) * x[small]
-    xb = x[~small]
-    out[~small] = ((1.0 + xb) ** (gamma - 1.0) - 1.0) / xb
-    return out
+@dataclass(frozen=True)
+class SystemSpec:
+    """One flow variant: state class, nonlinear rhs, and linear symbol."""
+
+    state_cls: type
+    rhs: Callable                 # rhs(state, params): the nonlinear part alone
+    kappa: Callable | None        # drag rate kappa(params); None without drag
+    c: Callable | None            # sound speed c(params); None for incompressible flow
+
+    @property
+    def has_drag(self) -> bool:
+        return self.kappa is not None
 
 
-def rhs_df_scaled(state: StateDF, eps: float, params: PhysParams, include_linear: bool = True) -> StateDF:
-    """
-    Mach-scaled drift-flux system.  The stiff pressure gradient enters only
-    through the linear acoustic part (1/eps) grad a; the remaining pressure
-    contribution is the O(1) pointwise coefficient
-    (a*(P'(1+eps a)-1)/(eps a) - rho - a) / (1 + eps(rho+a)).
-    """
-    g = state.grid
-    mu, lam, gamma = params.mu, params.lam, params.gamma
-    rho_ph = to_physical(state.rho)
-    a_ph = to_physical(state.a)
-    v_ph = to_physical(state.v)
-    m_ph = 1.0 + eps * (rho_ph + a_ph)
-    if float(np.min(m_ph)) <= MIX_FLOOR:
-        raise DegenerateMixture(f"min(1 + eps(rho+a)) = {np.min(m_ph):.4g} <= {MIX_FLOOR}")
+def _unit_mach(params: PhysParams) -> float:
+    return 1.0
 
-    drho = -1.0 * _div_flux(g, rho_ph, v_ph)
-    da = -1.0 * _div_flux(g, a_ph, v_ph)
 
-    grad_a_ph = to_physical(grad(state.a))
-    visc_v = _visc(state.v, mu, lam)
-    visc_ph = to_physical(visc_v)
-    pr = a_ph * _pressure_slope_ratio(eps * a_ph, gamma)
-    dv = pointwise(
-        g,
-        -_advect(v_ph, state.v)
-        - ((pr - rho_ph - a_ph) / m_ph) * grad_a_ph
-        + (1.0 / m_ph - 1.0) * visc_ph,
+def _mach(params: PhysParams) -> float:
+    return params.eps
+
+
+def _two_phase(mach: Callable) -> SystemSpec:
+    return SystemSpec(
+        StateEulerNS,
+        lambda state, params: rhs_euler_ns_scaled(
+            state, mach(params), params.tau, params, include_linear=False),
+        kappa=lambda params: 1.0 / (mach(params) * params.tau),
+        c=lambda params: 1.0 / mach(params),
     )
 
-    if include_linear:
-        da = da - (1.0 / eps) * div(state.v)
-        dv = SpectralField(g, dv.coeffs - grad(state.a).coeffs / eps + visc_v.coeffs)
-    return StateDF(drho, da, dv)
 
-
-def rhs_euler_ns_scaled(
-    state: StateEulerNS, eps: float, tau: float, params: PhysParams, include_linear: bool = True
-) -> StateEulerNS:
-    """
-    Mach-scaled drag-coupled system with friction rate 1/(eps*tau); the
-    combined-limit regime uses tau = eps.
-    """
-    g = state.grid
-    mu, lam, gamma = params.mu, params.lam, params.gamma
-    kappa = 1.0 / (eps * tau)
-    rho_ph = to_physical(state.rho)
-    u_ph = to_physical(state.u)
-    v_ph = to_physical(state.v)
-    a_ph = to_physical(state.a)
-    m_ph = 1.0 + eps * a_ph
-    if float(np.min(m_ph)) <= MIX_FLOOR:
-        raise VacuumGas(f"min(1 + eps a) = {np.min(m_ph):.4g} <= {MIX_FLOOR}")
-
-    drho = -1.0 * _div_flux(g, rho_ph, u_ph)
-    du = pointwise(g, -_advect(u_ph, state.u))
-    da = -1.0 * _div_flux(g, a_ph, v_ph)
-
-    grad_a_ph = to_physical(grad(state.a))
-    visc_v = _visc(state.v, mu, lam)
-    visc_ph = to_physical(visc_v)
-    pr = a_ph * _pressure_slope_ratio(eps * a_ph, gamma)
-    rel_ph = u_ph - v_ph
-    drag_v = rho_ph * rel_ph / (tau * m_ph)
-    dv = pointwise(
-        g,
-        -_advect(v_ph, state.v)
-        - ((pr - a_ph) / m_ph) * grad_a_ph
-        + (1.0 / m_ph - 1.0) * visc_ph
-        + drag_v,
+def _drift_flux(mach: Callable) -> SystemSpec:
+    return SystemSpec(
+        StateDF,
+        lambda state, params: rhs_df_scaled(state, mach(params), params, include_linear=False),
+        kappa=None,
+        c=lambda params: 1.0 / mach(params),
     )
 
-    if include_linear:
-        du = SpectralField(g, du.coeffs - kappa * (state.u.coeffs - state.v.coeffs))
-        da = da - (1.0 / eps) * div(state.v)
-        dv = SpectralField(g, dv.coeffs - grad(state.a).coeffs / eps + visc_v.coeffs)
-    return StateEulerNS(drho, du, da, dv)
+
+SYSTEMS: dict[str, SystemSpec] = {
+    "euler_ns": _two_phase(_unit_mach),
+    "df": _drift_flux(_unit_mach),
+    "tns": SystemSpec(
+        StateTNS, lambda state, params: rhs_tns(state, params, include_linear=False),
+        kappa=None, c=None),
+    "euler_ns_scaled": _two_phase(_mach),
+    "df_scaled": _drift_flux(_mach),
+}
+
+
+def system_spec(name: str) -> SystemSpec:
+    """The registry entry of a system; ValueError for an unknown name."""
+    try:
+        return SYSTEMS[name]
+    except KeyError:
+        raise ValueError(f"unknown system {name!r}; one of {', '.join(SYSTEMS)}") from None
 
 
 # ---------------------------------------------------------------------------
 # derived quantities
 
 
-def effective_mixed_velocity(state: StateEulerNS, eps: float | None = None) -> SpectralField:
+def effective_mixed_velocity(state: StateEulerNS, eps: float = 1.0) -> SpectralField:
     """
     Density-weighted velocity combining the two phases into one unknown:
-    (rho u + n v)/(rho + n), or, in the Mach-scaled setting, the analogue
-    with weights eps*rho/(1 + eps rho + eps a).
+    (eps rho u + (1 + eps a) v)/(1 + eps rho + eps a), which is
+    (rho u + n v)/(rho + n) at eps = 1.
     """
     g = state.grid
     rho_ph = to_physical(state.rho)
     a_ph = to_physical(state.a)
     u_ph = to_physical(state.u)
     v_ph = to_physical(state.v)
-    if eps is None:
-        mix = rho_ph + 1.0 + a_ph
-        if float(np.min(mix)) <= MIX_FLOOR:
-            raise DegenerateMixture(f"min(rho+n) = {np.min(mix):.4g} <= {MIX_FLOOR}")
-        w = rho_ph / mix
-    else:
-        mix = 1.0 + eps * (rho_ph + a_ph)
-        if float(np.min(mix)) <= MIX_FLOOR:
-            raise DegenerateMixture(f"min(1+eps(rho+a)) = {np.min(mix):.4g} <= {MIX_FLOOR}")
-        w = eps * rho_ph / mix
+    w = eps * rho_ph / _mixture(rho_ph, a_ph, eps)
     return pointwise(g, w * u_ph + (1.0 - w) * v_ph)
 
 

@@ -182,6 +182,19 @@ class TestIntegrate:
             integrate(st, 200.0, Scheme(dt=3.0, dt_max=5.0), par, "euler_ns",
                       validate_every=5)
 
+    def test_nan_coefficient_raises_diverged(self):
+        # fewer steps than validate_every: only the final-state guard runs
+        st = euler_ns_state(GRID, DataRecipe(seed=1))
+        st.v.coeffs[0, 1, 2] = np.nan
+        with pytest.raises(Diverged):
+            integrate(st, 10 * 0.05, Scheme(dt=0.05), PAR, "euler_ns")
+
+    def test_block_series_carries_p(self):
+        st = euler_ns_state(GRID, DataRecipe(seed=10, amplitude=0.05))
+        traj = integrate(st, 0.2, Scheme(dt=0.05), PAR, "euler_ns",
+                         [BlockObserver("a4", lambda s: s.a, p=4.0)], sample_dt=0.1)
+        assert traj.blocks["a4"].p == 4.0
+
     def test_reproducible_trajectories(self):
         st1 = euler_ns_state(GRID, DataRecipe(seed=12, amplitude=0.05))
         st2 = euler_ns_state(GRID, DataRecipe(seed=12, amplitude=0.05))

@@ -20,6 +20,7 @@ from driftflow.spectral import (
     to_physical,
 )
 from driftflow.systems import (
+    N_MIN,
     StateDF,
     StateEulerNS,
     StateTNS,
@@ -243,6 +244,19 @@ class TestScaledSystems:
         b = rhs_euler_ns(st, PAR)
         for k in ("rho", "u", "a", "v"):
             assert l2_norm(a.fields()[k] - b.fields()[k]) < 1e-12
+
+    def test_unit_parameters_share_gas_density_floor(self):
+        st = smooth_state(8)
+        for level, raises in ((N_MIN - 1e-3, True), (N_MIN + 1e-3, False)):
+            a = from_physical(GRID, (level - 1.0) * np.ones(GRID.shape))
+            low = StateEulerNS(st.rho, st.u, a, st.v)
+            for rhs in (lambda s: rhs_euler_ns(s, PAR),
+                        lambda s: rhs_euler_ns_scaled(s, 1.0, PAR.tau, PAR)):
+                if raises:
+                    with pytest.raises(VacuumGas):
+                        rhs(low)
+                else:
+                    rhs(low)
 
     def test_rescaling_transform_commutes_with_rhs(self):
         # (rho, n-1, v)(t, x) = eps*(scaled fields)(eps^2 t, eps x): the rhs of
