@@ -26,7 +26,7 @@ from .linear import (
     incompressible_matrix,
     propagator,
 )
-from .spectral import Grid, PhysParams, SpectralField
+from .spectral import Grid, PhysParams, SpectralField, parseval_sum
 from .studies import exp_rate_fit, rate_fit
 from .systems import relative_velocity_residual, total_momentum_rate
 
@@ -269,8 +269,9 @@ def criterion_conservation() -> CriterionResult:
     from .integrate import Stepper
     from .systems import StateEulerNS
 
-    z = lambda: SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
-    zv = lambda: SpectralField(grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128))
+    z = lambda: SpectralField(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
+    zv = lambda: SpectralField(grid, np.zeros((grid.dim,) + grid.spectral_shape,
+                                              dtype=np.complex128))
     rho = z(); rho.coeffs[0, 0] = 0.4
     eq = StateEulerNS(rho, zv(), z(), zv())
     stepper = Stepper("euler_ns", grid, par, Scheme(), 0.05)
@@ -307,7 +308,7 @@ def criterion_self_convergence() -> CriterionResult:
         finals.append(x)
 
     def dist(a, b):
-        return max(float(np.sqrt(np.sum(np.abs(fa.coeffs - fb.coeffs) ** 2)))
+        return max(float(np.sqrt(parseval_sum(grid, fa.coeffs - fb.coeffs)))
                    for fa, fb in zip(a.fields().values(), b.fields().values()))
 
     e1, e2 = dist(finals[0], finals[1]), dist(finals[1], finals[2])

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InsufficientSamples, UnsupportedP
-from .spectral import Grid, SpectralField, lp_norm
+from .spectral import Grid, SpectralField, lp_norm, parseval_sum
 
 _CHI_LO = 0.75
 _CHI_HI = 4.0 / 3.0
@@ -169,8 +169,7 @@ def dyadic_block(f: SpectralField, j: int, family: LPFamily | None = None) -> Sp
 def block_lp_norm(f: SpectralField, j: int, p: float, family: LPFamily | None = None) -> float:
     fam = family or family_for(f.grid)
     if p == 2.0:
-        w = fam.weight(j)
-        return float(np.sqrt(f.grid.volume * np.sum((w * np.abs(f.coeffs)) ** 2)))
+        return float(np.sqrt(f.grid.volume * parseval_sum(f.grid, fam.weight(j) * f.coeffs)))
     if p not in _SUPPORTED_P:
         raise UnsupportedP(f"p = {p} not in {{1, 2, 4, inf}}")
     return lp_norm(dyadic_block(f, j, fam), p)
@@ -179,9 +178,10 @@ def block_lp_norm(f: SpectralField, j: int, p: float, family: LPFamily | None = 
 def block_l2_spectrum(f: SpectralField, family: LPFamily | None = None) -> np.ndarray:
     """All block L2 norms at once (vectorized over j)."""
     fam = family or family_for(f.grid)
-    amp2 = np.abs(f.coeffs) ** 2
+    amp2 = f.coeffs.real**2 + f.coeffs.imag**2
     if f.is_vector:
         amp2 = np.sum(amp2, axis=0)
+    amp2 *= f.grid.parseval_weight
     out = np.empty(len(fam.j_values))
     for i, j in enumerate(fam.j_values):
         out[i] = np.sqrt(f.grid.volume * np.sum(fam.weight(j) ** 2 * amp2))

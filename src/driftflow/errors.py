@@ -33,6 +33,10 @@ class StepRejected(DriftflowError):
     """A time step produced a state violating the system invariants."""
 
 
+class NonFiniteField(DriftflowError):
+    """A field holds a NaN or infinite coefficient."""
+
+
 class Diverged(DriftflowError):
     """A trajectory exceeded the configured amplitude guard."""
 

@@ -1,8 +1,8 @@
 """
 Seeded initial-data families for the simulation studies.
 
-All fields are band-limited (inside the dealiasing cutoff), Hermitian by
-construction, and reproducible from (recipe, seed).  Two textures are
+All fields are band-limited (inside the dealiasing cutoff) and reproducible
+from (recipe, seed).  Two textures are
 provided: random-phase annulus fields with a prescribed low-frequency
 spectral slope, and spatially localized bump-modulated fields for the
 acoustic-dispersion studies.
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, dealias, from_physical, hermitize, leray_project, to_physical
+from .spectral import (Grid, SpectralField, _lattice, dealias, from_physical, leray_project,
+                       to_physical)
 from .systems import StateDF, StateEulerNS, StateTNS, system_spec
 
 
@@ -35,6 +36,14 @@ class DataRecipe:
     bump_width: float | None = None
 
 
+def _hermitian_part(c: np.ndarray) -> np.ndarray:
+    """(c_k + conj(c_{-k}))/2 on the full lattice."""
+    rc = c
+    for ax in range(c.ndim):
+        rc = np.roll(np.flip(rc, axis=ax), 1, axis=ax)
+    return 0.5 * (c + np.conj(rc))
+
+
 def random_scalar(
     grid: Grid,
     rng: np.random.Generator,
@@ -50,11 +59,15 @@ def random_scalar(
     |c| ~ |xi|^(-sigma1 - d/2), which makes the weak dyadic norm at index
     sigma1 roughly flat across blocks.
     """
+    # The random coefficients are drawn, shaped and symmetrized on the full
+    # lattice, so that a (recipe, seed) keeps the field it has always named;
+    # the Hermitian result is then cut to the stored half spectrum.
     shape = grid.shape
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     c = (re + 1j * im).astype(np.complex128)
-    kmag = grid.kmag
+    _, _, k2, keep = _lattice(grid, half=False)
+    kmag = np.sqrt(k2)
     mask = (kmag >= k_band[0]) & (kmag <= k_band[1])
     c *= mask
     if sigma1 is not None:
@@ -62,7 +75,8 @@ def random_scalar(
         with np.errstate(divide="ignore"):
             prof = np.where(kmag > 0, kmag, 1.0) ** expo
         c *= prof
-    f = hermitize(dealias(SpectralField(grid, c)))
+    c = _hermitian_part(c * keep)
+    f = SpectralField(grid, np.ascontiguousarray(c[..., : grid.npts // 2 + 1]))
     idx = (0,) * grid.dim
     f.coeffs[idx] = 0.0
     sup = float(np.max(np.abs(to_physical(f))))

@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .besov import BlockTimeSeries, block_lp_spectrum, family_for
-from .errors import Diverged, StepRejected
+from .errors import Diverged, DriftflowError, StepRejected
 from .linear import green_acoustic, green_compressible, green_incompressible
-from .spectral import Grid, PhysParams, SpectralField, to_physical
+from .spectral import Grid, PhysParams, SpectralField, parseval_sum, to_physical
 from .systems import system_spec
 
 
@@ -102,36 +102,43 @@ class ModePropagatorTable:
 def precompute_mode_propagators(
     grid: Grid, params: PhysParams, dt: float, system: str = "euler_ns"
 ) -> ModePropagatorTable:
-    """Assemble the exact one-step solution operator for every lattice mode."""
+    """Assemble the exact one-step solution operator for every lattice mode.
+
+    The entries depend on |xi| alone, so the Green's functions are evaluated
+    once per distinct radius and scattered back onto the lattice."""
     spec = system_spec(system)
-    xi = grid.kmag.ravel()
-    shape = grid.shape
     nu, mu = params.nu, params.mu
     tab = ModePropagatorTable(system=system, grid=grid, dt=dt)
     if spec.c is None:  # incompressible transport: heat flow alone
         tab.p11 = np.exp(-mu * grid.k2 * dt)
         return tab
 
+    xi, inverse = np.unique(grid.kmag.ravel(), return_inverse=True)
+    shape = grid.kmag.shape
+
+    def on_lattice(values):
+        return values[inverse].reshape(shape)
+
     c = spec.c(params)
     if spec.has_drag:
         kappa = spec.kappa(params)
         g = green_compressible(xi, kappa, nu, c, dt)
-        tab.g00 = g["uu"].reshape(shape)
-        tab.g01 = (-1j * g["ua"]).reshape(shape)
-        tab.g02 = g["uv"].reshape(shape)
+        tab.g00 = on_lattice(g["uu"])
+        tab.g01 = on_lattice(-1j * g["ua"])
+        tab.g02 = on_lattice(g["uv"])
         gi = green_incompressible(xi, kappa, mu, dt)
-        tab.p00 = gi["uu"].reshape(shape)
-        tab.p01 = gi["uv"].reshape(shape)
-        tab.p11 = gi["vv"].reshape(shape)
+        tab.p00 = on_lattice(gi["uu"])
+        tab.p01 = on_lattice(gi["uv"])
+        tab.p11 = on_lattice(gi["vv"])
     else:
         g = green_acoustic(xi, nu, c, dt)
         tab.p11 = np.exp(-mu * grid.k2 * dt)
     # (a, s_v) with s_v = e.v_hat; the i-factors of the potential variables
     # turn the real acoustic entries into +-i couplings
-    tab.g11 = g["aa"].reshape(shape)
-    tab.g12 = (1j * g["av"]).reshape(shape)
-    tab.g21 = (-1j * g["va"]).reshape(shape)
-    tab.g22 = g["vv"].reshape(shape)
+    tab.g11 = on_lattice(g["aa"])
+    tab.g12 = on_lattice(1j * g["av"])
+    tab.g21 = on_lattice(-1j * g["va"])
+    tab.g22 = on_lattice(g["vv"])
     return tab
 
 
@@ -341,8 +348,8 @@ def estimate_dt(state, scheme: Scheme) -> float:
 
 def _amplitude(state) -> float:
     """Largest coefficient 2-norm over the fields; NaN if any field holds one."""
-    return float(np.max([np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
-                         for f in state.fields().values()]))
+    return float(np.sqrt(np.max([parseval_sum(f.grid, f.coeffs)
+                                 for f in state.fields().values()])))
 
 
 def integrate(
@@ -371,6 +378,7 @@ def integrate(
     dt_main = min(dt_main, T) if T > 0 else dt_main
 
     spec = system_spec(system)
+    eps = spec.mach(params)
     kappa = spec.kappa(params) if spec.has_drag else None
     phases = []
     t_ramp = 0.0
@@ -403,7 +411,7 @@ def integrate(
             raise Diverged(f"amplitude non-finite or grown by more than "
                            f"{divergence_factor:g} at t = {t:.4g}")
         try:
-            state.validate()
+            state.validate(eps)
         except Exception as exc:
             raise StepRejected(str(exc)) from exc
 
@@ -414,7 +422,14 @@ def integrate(
         dt = span / nsteps
         stepper = Stepper(system, grid, params, scheme, dt)
         for i in range(nsteps):
-            state = stepper.step(state)
+            try:
+                state = stepper.step(state)
+            except DriftflowError as exc:
+                # an rhs floor that trips on a non-finite state reports the
+                # divergence the guard would have reported
+                if np.isfinite(_amplitude(state)):
+                    raise
+                raise Diverged(f"amplitude non-finite at t = {t0 + i * dt:.4g}") from exc
             t = t0 + (i + 1) * dt
             steps_done += 1
             if steps_done % validate_every == 0:

@@ -1,16 +1,31 @@
 """
-Torus grids, Hermitian spectral fields, and the basic Fourier-side operators.
+Torus grids, real fields stored by their half spectrum, and the basic
+Fourier-side operators.
 
-Fields are stored as full complex coefficient arrays c_k normalized so that
+A real field f is stored by the coefficients c_k of
 
     f(x) = sum_k c_k exp(i * (2*pi/L) * k . x),
 
-i.e. ``coeffs = fftn(values) / N**d``.  Real fields are Hermitian-symmetric,
-``c_{-k} = conj(c_k)``, and every operator here preserves that symmetry.
+normalized as ``coeffs = rfftn(values) / N**d``.  Because f is real,
+``c_{-k} = conj(c_k)``, so only the half lattice with last index
+0 <= k_d <= N/2 is stored: coefficient arrays have shape
+``(N,)*(d-1) + (N//2+1,)`` (``Grid.spectral_shape``), vector components
+first.  Hermitian symmetry holds by construction and the inverse transform
+returns real samples.  On the last axis the Nyquist index N/2 carries the
+wavenumber -N/2, as in the full FFT layout; the 2/3 rule zeroes it anyway.
+
+Sums over the full lattice become weighted sums over the stored half: a
+coefficient with last index 1 <= k_d <= N/2 - 1 stands for itself and its
+conjugate partner, which is not stored, and so counts twice; the planes
+k_d = 0 and k_d = N/2 hold both partners and count once.  This weight is
+``Grid.parseval_weight``; every Parseval sum reads it, e.g.
+
+    ||f||_{L2}^2 = L**d * sum(parseval_weight * |c|**2).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -20,7 +35,8 @@ import scipy.fft as sfft
 from .errors import FormatVersionMismatch, NegativePowerOfZeroMode
 
 _SNAPSHOT_MAGIC = b"DFS1"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
+_HEADER = "<4sIIIIId"
 _ENDIAN_TAG = 0x01020304
 
 
@@ -51,35 +67,35 @@ class Grid:
         if not self.length > 0:
             raise ValueError("length must be positive")
 
-        n, d = self.npts, self.dim
-        k1 = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # integer lattice per axis
-        kint = np.meshgrid(*([k1] * d), indexing="ij")
-        scale = 2.0 * np.pi / self.length
-        kvec = np.stack([scale * k.astype(np.float64) for k in kint])
-        k2 = np.sum(kvec**2, axis=0)
+        n = self.npts
+        kint, kvec, k2, keep = _lattice(self, half=True)
         kmag = np.sqrt(k2)
 
         # Unit direction per mode; zero vector at the mean mode.
         with np.errstate(invalid="ignore", divide="ignore"):
             ehat = np.where(kmag > 0, kvec / np.where(kmag > 0, kmag, 1.0), 0.0)
 
-        # 2/3-rule mask, tightened to (N-1)//3 so that triple products of
-        # retained modes cannot alias back onto the resolved band.
-        kcut = (n - 1) // 3
-        keep = np.ones((n,) * d, dtype=bool)
-        for axis_k in kint:
-            keep &= np.abs(axis_k) <= kcut
-        object.__setattr__(self, "kint", np.stack(kint))
+        # Parseval weight per last-axis index (see the module docstring)
+        weight = np.full(n // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
+        object.__setattr__(self, "kint", kint)
         object.__setattr__(self, "kvec", kvec)
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "kmag", kmag)
         object.__setattr__(self, "ehat", ehat)
         object.__setattr__(self, "dealias_keep", keep)
-        object.__setattr__(self, "kcut", kcut)
+        object.__setattr__(self, "kcut", (n - 1) // 3)
+        object.__setattr__(self, "parseval_weight", weight)
 
     @property
     def shape(self):
+        """Shape of the physical samples."""
         return (self.npts,) * self.dim
+
+    @property
+    def spectral_shape(self):
+        """Shape of a scalar field's stored half spectrum."""
+        return (self.npts,) * (self.dim - 1) + (self.npts // 2 + 1,)
 
     @property
     def dx(self):
@@ -104,16 +120,34 @@ class Grid:
         return r[r > 0]
 
 
+def _lattice(grid: Grid, half: bool):
+    """Integer wavenumbers, wavevectors, |xi|^2 and the dealias mask on the
+    half lattice (last axis indices 0..N/2: wavenumbers 0..N/2-1 and the
+    Nyquist -N/2) or on the full (N,)*d lattice."""
+    n, d = grid.npts, grid.dim
+    k1 = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # integer lattice per axis
+    last = k1[: n // 2 + 1] if half else k1
+    kint = np.stack(np.meshgrid(*([k1] * (d - 1) + [last]), indexing="ij"))
+    kvec = (2.0 * np.pi / grid.length) * kint.astype(np.float64)
+    # 2/3-rule mask, tightened to (N-1)//3 so that triple products of
+    # retained modes cannot alias back onto the resolved band.
+    keep = np.all(np.abs(kint) <= (n - 1) // 3, axis=0)
+    return kint, kvec, np.sum(kvec**2, axis=0), keep
+
+
 @dataclass
 class SpectralField:
     """A real scalar or vector field stored by its Fourier coefficients."""
 
     grid: Grid
-    coeffs: np.ndarray  # shape grid.shape (scalar) or (ncomp,) + grid.shape
+    coeffs: np.ndarray  # grid.spectral_shape (scalar) or (ncomp,) + grid.spectral_shape
 
     def __post_init__(self):
         if self.coeffs.dtype != np.complex128:
             self.coeffs = self.coeffs.astype(np.complex128)
+        if self.coeffs.shape[-self.grid.dim:] != self.grid.spectral_shape:
+            raise ValueError(f"coefficients of shape {self.coeffs.shape} do not end in "
+                             f"the half spectrum {self.grid.spectral_shape}")
 
     @property
     def num_components(self) -> int:
@@ -193,34 +227,14 @@ class PhysParams:
 def from_physical(grid: Grid, values: np.ndarray) -> SpectralField:
     """Forward transform of real physical samples into a SpectralField."""
     values = np.asarray(values, dtype=np.float64)
-    norm = grid.npts**grid.dim
     axes = tuple(range(-grid.dim, 0))
-    coeffs = sfft.fftn(values, axes=axes) / norm
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, sfft.rfftn(values, axes=axes, norm="forward"))
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Inverse transform; returns real samples on the grid."""
-    norm = f.grid.npts**f.grid.dim
     axes = tuple(range(-f.grid.dim, 0))
-    return sfft.ifftn(f.coeffs * norm, axes=axes).real
-
-
-def hermitize(f: SpectralField) -> SpectralField:
-    """Project onto the Hermitian-symmetric (real-field) part."""
-    c = f.coeffs
-    axes = tuple(range(-f.grid.dim, 0))
-    rc = c
-    for ax in axes:
-        rc = np.flip(rc, axis=ax)
-        rc = np.roll(rc, 1, axis=ax)
-    return SpectralField(f.grid, 0.5 * (c + np.conj(rc)))
-
-
-def hermitian_defect(f: SpectralField) -> float:
-    """Max-norm distance of the coefficients from Hermitian symmetry."""
-    sym = hermitize(f)
-    return float(np.max(np.abs(f.coeffs - sym.coeffs)))
+    return sfft.irfftn(f.coeffs, s=f.grid.shape, axes=axes, norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +321,14 @@ def dealias(f: SpectralField) -> SpectralField:
 # norms and pointwise algebra
 
 
+def parseval_sum(grid: Grid, coeffs: np.ndarray) -> float:
+    """sum |c_k|^2 over the full lattice, from the stored half spectrum."""
+    return float(np.sum(grid.parseval_weight * (coeffs.real**2 + coeffs.imag**2)))
+
+
 def l2_norm(f: SpectralField) -> float:
     """L2((0,L)^d) norm, via Parseval."""
-    return float(np.sqrt(f.grid.volume * np.sum(np.abs(f.coeffs) ** 2)))
+    return float(np.sqrt(f.grid.volume * parseval_sum(f.grid, f.coeffs)))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -350,19 +369,26 @@ def pointwise(grid: Grid, values: np.ndarray, dealias_result: bool = True) -> Sp
 # snapshot file format
 #
 # Little-endian layout:
-#   bytes 0:4    magic  b"DFS1"
-#   u32          format version (1)
+#   bytes 0:4    magic  b"DFS1" (the tag of the file family, for every version)
+#   u32          format version
 #   u32          endianness tag 0x01020304
 #   u32          dim
 #   u32          npts
 #   u32          num_components
 #   f64          length
-#   complex128[] coefficients, C order, shape (num_components, npts**dim)
+#   complex128[] coefficients, C order:
+#                version 2: the half spectrum, shape
+#                           (num_components,) + (npts,)*(dim-1) + (npts//2+1,)
+#                version 1: the full Hermitian spectrum, shape
+#                           (num_components,) + (npts,)*dim
+#
+# ``save_field`` writes version 2; ``load_field`` reads both, keeping the
+# half of a version-1 array.  A payload of the wrong size is a format error.
 
 
 def save_field(path, f: SpectralField) -> None:
     header = struct.pack(
-        "<4sIIIIId",
+        _HEADER,
         _SNAPSHOT_MAGIC,
         _SNAPSHOT_VERSION,
         _ENDIAN_TAG,
@@ -379,14 +405,28 @@ def save_field(path, f: SpectralField) -> None:
 
 def load_field(path) -> SpectralField:
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIIIIId"))
-        magic, version, endian, dim, npts, ncomp, length = struct.unpack("<4sIIIIId", header)
-        if magic != _SNAPSHOT_MAGIC or version != _SNAPSHOT_VERSION:
-            raise FormatVersionMismatch(f"bad magic/version {magic!r}/{version}")
-        if endian != _ENDIAN_TAG:
-            raise FormatVersionMismatch("endianness tag mismatch")
+        header = fh.read(struct.calcsize(_HEADER))
+        payload = fh.read()
+    if len(header) != struct.calcsize(_HEADER):
+        raise FormatVersionMismatch(f"truncated header: {len(header)} bytes")
+    magic, version, endian, dim, npts, ncomp, length = struct.unpack(_HEADER, header)
+    if magic != _SNAPSHOT_MAGIC or version not in (1, _SNAPSHOT_VERSION):
+        raise FormatVersionMismatch(f"bad magic/version {magic!r}/{version}")
+    if ncomp < 1 or dim not in (2, 3):
+        raise FormatVersionMismatch(f"bad header: dim {dim}, {ncomp} components")
+    if endian != _ENDIAN_TAG:
+        raise FormatVersionMismatch("endianness tag mismatch")
+    last = npts if version == 1 else npts // 2 + 1
+    stored = (() if ncomp == 1 else (ncomp,)) + (npts,) * (dim - 1) + (last,)
+    size = 16 * math.prod(stored)
+    if len(payload) != size:
+        raise FormatVersionMismatch(f"payload of {len(payload)} bytes, expected {size} "
+                                    f"for version {version}")
+    try:
         grid = Grid(dim, npts, length)
-        count = ncomp * npts**dim
-        data = np.frombuffer(fh.read(count * 16), dtype="<c16").astype(np.complex128)
-    shape = grid.shape if ncomp == 1 else (ncomp,) + grid.shape
-    return SpectralField(grid, data.reshape(shape))
+    except ValueError as exc:
+        raise FormatVersionMismatch(f"bad grid in header: {exc}") from None
+    data = np.frombuffer(payload, dtype="<c16").astype(np.complex128).reshape(stored)
+    if version == 1:
+        data = np.ascontiguousarray(data[..., : npts // 2 + 1])
+    return SpectralField(grid, data)

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMixture, StepRejected, TailNotConverged, VacuumGas
+from .errors import DegenerateMixture, NonFiniteField, StepRejected, TailNotConverged, VacuumGas
 from .spectral import (
     Grid,
     PhysParams,
@@ -47,6 +47,7 @@ from .spectral import (
     l2_norm,
     laplacian,
     leray_project,
+    parseval_sum,
     pointwise,
     to_physical,
 )
@@ -62,7 +63,11 @@ RHO_NEG_REL = 1e-5   # relative part: dealiasing ripple scales with sup|rho|
 
 
 class _State:
-    """Field access shared by the state dataclasses, in declaration order."""
+    """Field access shared by the state dataclasses, in declaration order.
+
+    ``validate(eps)`` checks the invariants of the state for the Mach number
+    ``eps`` of the system it is advanced by; a NaN or infinite coefficient in
+    any field fails it."""
 
     def fields(self) -> dict[str, SpectralField]:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -74,6 +79,11 @@ class _State:
     def copy(self):
         return type(self)(*[f.copy() for f in self.fields().values()])
 
+    def _require_finite(self):
+        for name, f in self.fields().items():
+            if not np.all(np.isfinite(f.coeffs)):
+                raise NonFiniteField(f"field {name} holds non-finite coefficients")
+
 
 @dataclass
 class StateEulerNS(_State):
@@ -82,11 +92,12 @@ class StateEulerNS(_State):
     a: SpectralField
     v: SpectralField
 
-    def validate(self):
-        _gas_density(to_physical(self.a), 1.0)
+    def validate(self, eps: float = 1.0):
+        self._require_finite()
+        _gas_density(to_physical(self.a), eps)
         rho_ph = to_physical(self.rho)
         tol = max(RHO_NEG_TOL, RHO_NEG_REL * float(np.max(np.abs(rho_ph))))
-        if float(np.min(rho_ph)) < -tol:
+        if not float(np.min(rho_ph)) >= -tol:
             raise VacuumGas(f"min(rho) = {np.min(rho_ph):.4g} < -{tol:g}")
         return self
 
@@ -97,10 +108,9 @@ class StateDF(_State):
     a: SpectralField
     v: SpectralField
 
-    def validate(self):
-        mix = to_physical(self.rho) + 1.0 + to_physical(self.a)
-        if float(np.min(mix)) <= 0.0:
-            raise DegenerateMixture(f"min(rho + n) = {np.min(mix):.4g} <= 0")
+    def validate(self, eps: float = 1.0):
+        self._require_finite()
+        _mixture(to_physical(self.rho), to_physical(self.a), eps)
         return self
 
 
@@ -109,7 +119,8 @@ class StateTNS(_State):
     varrho: SpectralField
     w: SpectralField
 
-    def validate(self):
+    def validate(self, eps: float = 1.0):
+        self._require_finite()
         d = div(self.w)
         if l2_norm(d) > 1e-10 * max(1.0, l2_norm(self.w)):
             raise StepRejected("transport velocity is not divergence-free")
@@ -142,7 +153,7 @@ def _div_flux(grid: Grid, dens_ph: np.ndarray, vel_ph: np.ndarray) -> SpectralFi
 def _gas_density(a_ph: np.ndarray, eps: float) -> np.ndarray:
     """The gas density 1 + eps*a, rejected at or below the N_MIN floor."""
     n_ph = 1.0 + eps * a_ph
-    if float(np.min(n_ph)) <= N_MIN:
+    if not float(np.min(n_ph)) > N_MIN:
         raise VacuumGas(f"min(1 + eps a) = {np.min(n_ph):.4g} <= {N_MIN}")
     return n_ph
 
@@ -150,7 +161,7 @@ def _gas_density(a_ph: np.ndarray, eps: float) -> np.ndarray:
 def _mixture(rho_ph: np.ndarray, a_ph: np.ndarray, eps: float) -> np.ndarray:
     """The mixture density 1 + eps*(rho + a), rejected at or below MIX_FLOOR."""
     mix = 1.0 + eps * (rho_ph + a_ph)
-    if float(np.min(mix)) <= MIX_FLOOR:
+    if not float(np.min(mix)) > MIX_FLOOR:
         raise DegenerateMixture(f"min(1 + eps(rho+a)) = {np.min(mix):.4g} <= {MIX_FLOOR}")
     return mix
 
@@ -311,7 +322,7 @@ def momentum_rhs_df_conservative(state: StateDF, params: PhysParams) -> Spectral
     a_ph = to_physical(state.a)
     v_ph = to_physical(state.v)
     mix = rho_ph + 1.0 + a_ph
-    out = np.zeros((g.dim,) + g.shape, dtype=np.complex128)
+    out = np.zeros((g.dim,) + g.spectral_shape, dtype=np.complex128)
     for i in range(g.dim):
         row = pointwise(g, mix * v_ph[i] * v_ph)  # row i of (rho+n) v x v
         out[i] = -div(row).coeffs
@@ -366,6 +377,14 @@ def rhs_tns(state: StateTNS, params: PhysParams, include_linear: bool = True) ->
 # reaches every caller.
 
 
+def _unit_mach(params: PhysParams) -> float:
+    return 1.0
+
+
+def _mach(params: PhysParams) -> float:
+    return params.eps
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """One flow variant: state class, nonlinear rhs, and linear symbol."""
@@ -374,18 +393,11 @@ class SystemSpec:
     rhs: Callable                 # rhs(state, params): the nonlinear part alone
     kappa: Callable | None        # drag rate kappa(params); None without drag
     c: Callable | None            # sound speed c(params); None for incompressible flow
+    mach: Callable = _unit_mach   # Mach number eps(params) that state_cls.validate takes
 
     @property
     def has_drag(self) -> bool:
         return self.kappa is not None
-
-
-def _unit_mach(params: PhysParams) -> float:
-    return 1.0
-
-
-def _mach(params: PhysParams) -> float:
-    return params.eps
 
 
 def _two_phase(mach: Callable) -> SystemSpec:
@@ -395,6 +407,7 @@ def _two_phase(mach: Callable) -> SystemSpec:
             state, mach(params), params.tau, params, include_linear=False),
         kappa=lambda params: 1.0 / (mach(params) * params.tau),
         c=lambda params: 1.0 / mach(params),
+        mach=mach,
     )
 
 
@@ -404,6 +417,7 @@ def _drift_flux(mach: Callable) -> SystemSpec:
         lambda state, params: rhs_df_scaled(state, mach(params), params, include_linear=False),
         kappa=None,
         c=lambda params: 1.0 / mach(params),
+        mach=mach,
     )
 
 
@@ -496,7 +510,7 @@ def asymptotic_profile(
     g = rho0.grid
     times = np.asarray(times, dtype=np.float64)
     stack = np.stack(div_flux_coeffs)
-    tail = float(np.sqrt(g.volume * np.sum(np.abs(stack[-1]) ** 2)))
+    tail = float(np.sqrt(g.volume * parseval_sum(g, stack[-1])))
     if strict and tail > tail_tol:
         raise TailNotConverged(f"final ||div(rho u)||_L2 = {tail:.3e} > {tail_tol:g}")
     integ = np.trapezoid(stack, times, axis=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftflow.spectral import Grid, SpectralField, dealias, hermitize
+from driftflow.spectral import Grid, SpectralField
 
 
 @pytest.fixture
@@ -19,14 +19,31 @@ def grid3d():
     return Grid(3, 16, 2.0 * np.pi)
 
 
+def full_lattice(grid):
+    """Integer wavenumbers of the full (N,)*d FFT lattice, shape (d,) + grid.shape."""
+    k1 = np.fft.fftfreq(grid.npts, d=1.0 / grid.npts)
+    return np.stack(np.meshgrid(*([k1] * grid.dim), indexing="ij"))
+
+
 def random_field(grid, rng, ncomp=1, band=None):
-    """Dealiased Hermitian random field; band optionally restricts |xi|."""
+    """Dealiased random real field; band optionally restricts |xi|.
+
+    The coefficients are drawn on the full lattice, symmetrized there and cut
+    to the stored half spectrum, so a seed names the same field as it did
+    when fields were stored on the full lattice."""
     shape = grid.shape if ncomp == 1 else (ncomp,) + grid.shape
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = hermitize(dealias(SpectralField(grid, c)))
+    kint = full_lattice(grid)
+    c = c * np.all(np.abs(kint) <= grid.kcut, axis=0)
+    axes = tuple(range(-grid.dim, 0))
+    rc = c
+    for ax in axes:
+        rc = np.roll(np.flip(rc, axis=ax), 1, axis=ax)
+    c = 0.5 * (c + np.conj(rc))
     if band is not None:
-        mask = (grid.kmag >= band[0]) & (grid.kmag <= band[1])
-        f = SpectralField(grid, f.coeffs * mask)
+        kmag = (2.0 * np.pi / grid.length) * np.sqrt(np.sum(kint**2, axis=0))
+        c = c * ((kmag >= band[0]) & (kmag <= band[1]))
+    f = SpectralField(grid, np.ascontiguousarray(c[..., : grid.npts // 2 + 1]))
     idx = (0,) * grid.dim
     if ncomp == 1:
         f.coeffs[idx] = np.real(f.coeffs[idx])

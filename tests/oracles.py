@@ -35,19 +35,37 @@ def uncentered_spectrum(centered: np.ndarray) -> np.ndarray:
     return np.fft.ifftshift(centered, axes=tuple(range(d)))
 
 
+def full_spectrum(half: np.ndarray) -> np.ndarray:
+    """
+    The full (n,)*d coefficient array of a real field from its stored half
+    spectrum (last axis of length n//2 + 1), by c_{-k} = conj(c_k).
+    """
+    n = half.shape[0]
+    d = half.ndim
+    full = np.zeros((n,) * d, dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    # last indices 1 .. n/2-1 mirrored to n-1 .. n/2+1, the other axes to -k
+    mirror = np.conj(half[..., 1 : n // 2])
+    for ax in range(d - 1):
+        mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
+    full[..., n // 2 + 1 :] = mirror[..., ::-1]
+    return full
+
+
 def true_product_coeffs(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """
-    Exact (non-circular) convolution of two coefficient arrays, truncated
-    back to the original lattice.  This is the alias-free product.
+    Exact (non-circular) convolution of two half-spectrum coefficient arrays,
+    truncated back to the original lattice and returned as a half spectrum.
+    This is the alias-free product.
     """
     n = ca.shape[0]
-    a = centered_spectrum(ca)
-    b = centered_spectrum(cb)
+    a = centered_spectrum(full_spectrum(ca))
+    b = centered_spectrum(full_spectrum(cb))
     full = fftconvolve(a, b, mode="full")
     # full index m holds frequency m - n; keep frequencies -n/2 .. n/2 - 1
     lo = n // 2
     sl = tuple(slice(lo, lo + n) for _ in range(ca.ndim))
-    return uncentered_spectrum(full[sl])
+    return uncentered_spectrum(full[sl])[..., : n // 2 + 1]
 
 
 def trapz_time_l2(times, values):

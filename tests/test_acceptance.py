@@ -3,12 +3,15 @@ Desk-scale acceptance battery.
 
 Each test runs one criterion at its pinned tolerances and prints a one-line
 verdict.  The slow sweeps (relaxation, drift-flux limit, decay window,
-low-Mach) dominate the suite runtime.
+low-Mach) dominate the suite runtime.  Every test here carries the
+``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the fast tier.
 """
 
 import pytest
 
 from driftflow import acceptance
+
+pytestmark = pytest.mark.acceptance
 
 
 def _run(fn):

@@ -52,7 +52,9 @@ class TestGenerator:
 
 
 def single_mode_field(grid, kint_vec, amp=1.0):
-    c = np.zeros(grid.shape, dtype=np.complex128)
+    # last component 0: both partners lie in the stored half spectrum
+    assert kint_vec[-1] == 0
+    c = np.zeros(grid.spectral_shape, dtype=np.complex128)
     c[tuple(kint_vec)] = amp / 2.0
     c[tuple(-np.asarray(kint_vec))] = amp / 2.0
     return SpectralField(grid, c)

@@ -84,7 +84,7 @@ class TestCLI:
 
     def test_besov_subcommand_single_mode(self, tmp_path, rng, capsys):
         grid = Grid(2, 32, 5.0 * np.pi)
-        c = np.zeros(grid.shape, dtype=np.complex128)
+        c = np.zeros(grid.spectral_shape, dtype=np.complex128)
         c[7, 0] = 0.5
         c[-7, 0] = 0.5
         f = SpectralField(grid, c)
@@ -114,6 +114,16 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         body = json.loads(err.strip().split("\n")[-1])
+        assert body["error"] == "FormatVersionMismatch"
+
+    def test_truncated_snapshot_exit_is_machine_readable(self, tmp_path, capsys):
+        grid = Grid(2, 16, 2.0 * np.pi)
+        snap = tmp_path / "cut.dfs"
+        save_field(snap, SpectralField(grid, np.ones(grid.spectral_shape, dtype=np.complex128)))
+        snap.write_bytes(snap.read_bytes()[:-8])
+        rc = main(["besov", str(snap)])
+        assert rc == 2
+        body = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
         assert body["error"] == "FormatVersionMismatch"
 
 

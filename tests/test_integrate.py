@@ -14,9 +14,9 @@ from driftflow.integrate import (
     integrate,
     precompute_mode_propagators,
 )
-from driftflow.linear import propagator
+from driftflow.linear import green_acoustic, green_compressible, green_incompressible, propagator
 from driftflow.spectral import Grid, PhysParams, SpectralField, from_physical, l2_norm, to_physical
-from driftflow.systems import StateEulerNS, StateTNS
+from driftflow.systems import StateEulerNS, StateTNS, system_spec
 
 GRID = Grid(2, 32, 4.0 * np.pi)
 PAR = PhysParams(tau=0.2, mu=1.0, lam=-0.5)
@@ -27,8 +27,9 @@ def state_distance(a, b):
 
 
 def zero_state(grid=GRID, rho_bar=0.3):
-    z = lambda: SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
-    zv = lambda: SpectralField(grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128))
+    z = lambda: SpectralField(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
+    zv = lambda: SpectralField(grid, np.zeros((grid.dim,) + grid.spectral_shape,
+                                              dtype=np.complex128))
     rho = z()
     rho.coeffs[(0,) * grid.dim] = rho_bar
     return StateEulerNS(rho, zv(), z(), zv())
@@ -53,6 +54,29 @@ class TestPropagatorTable:
         assert abs(tab.g00[idx] - g3[0, 0]) < 1e-12
         assert abs(tab.g01[idx] + 1j * g3[0, 1]) < 1e-12
         assert abs(tab.p01[idx] - g2[0, 1]) < 1e-12
+
+    @pytest.mark.parametrize("system", ["euler_ns", "df_scaled"])
+    def test_table_equals_per_mode_green_functions(self, system):
+        # evaluated once per distinct radius, the entries equal those of a
+        # per-mode evaluation over the whole lattice
+        grid = Grid(3, 12, 3.0)
+        par = PhysParams(tau=0.05, eps=0.3, mu=0.7, lam=0.1)
+        tab = precompute_mode_propagators(grid, par, 0.1, system)
+        spec = system_spec(system)
+        xi, c = grid.kmag.ravel(), spec.c(par)
+        if spec.has_drag:
+            g = green_compressible(xi, spec.kappa(par), par.nu, c, 0.1)
+            gi = green_incompressible(xi, spec.kappa(par), par.mu, 0.1)
+            want = {"g00": g["uu"], "g01": -1j * g["ua"], "g02": g["uv"],
+                    "p00": gi["uu"], "p01": gi["uv"], "p11": gi["vv"]}
+        else:
+            g = green_acoustic(xi, par.nu, c, 0.1)
+            want = {"p11": np.exp(-par.mu * grid.k2 * 0.1)}
+        want.update(g11=g["aa"], g12=1j * g["av"], g21=-1j * g["va"], g22=g["vv"])
+        for key, w in want.items():
+            got = getattr(tab, key)
+            assert got.shape == grid.kmag.shape
+            assert np.max(np.abs(got - w.reshape(grid.kmag.shape))) <= 1e-15, key
 
     def test_half_steps_compose(self, rng):
         st = euler_ns_state(GRID, DataRecipe(seed=3, amplitude=0.04))
@@ -141,7 +165,7 @@ class TestIntegrate:
             np.sin(k0 * x[0]) * np.cos(k0 * x[1]),
             -np.cos(k0 * x[0]) * np.sin(k0 * x[1]),
         ]) * 0.3
-        z = SpectralField(GRID, np.zeros(GRID.shape, dtype=np.complex128))
+        z = SpectralField(GRID, np.zeros(GRID.spectral_shape, dtype=np.complex128))
         st = StateTNS(z, from_physical(GRID, w_ph))
         par = PhysParams(mu=0.4)
         T = 1.5
@@ -202,3 +226,15 @@ class TestIntegrate:
         t1 = integrate(st1, 1.0, Scheme(dt=0.05), PAR, "euler_ns", obs())
         t2 = integrate(st2, 1.0, Scheme(dt=0.05), PAR, "euler_ns", obs())
         assert np.array_equal(t1.scalars["e"], t2.scalars["e"])
+
+
+def test_scaled_run_uses_the_scaled_gas_density_floor():
+    # 1 + a = -0.5 but 1 + eps*a = 0.85: admissible for the scaled system
+    grid = Grid(2, 32, 8.0 * np.pi)
+    par = PhysParams(tau=0.1, eps=0.1, mu=1.0, lam=0.0)
+    st = zero_state(grid, rho_bar=0.3)
+    st.a.coeffs[0, 0] = -1.5
+    traj = integrate(st, 0.5, Scheme(dt=0.05), par, "euler_ns_scaled", validate_every=2)
+    assert traj.meta["steps"] >= 10
+    final = traj.meta["final_state"]
+    assert np.allclose(to_physical(final.a), -1.5, atol=1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from driftflow.errors import DegenerateMixture, TailNotConverged, VacuumGas
+from driftflow.errors import DegenerateMixture, NonFiniteField, TailNotConverged, VacuumGas
 from driftflow.initial_data import DataRecipe, df_state, euler_ns_state, tns_state
 from driftflow.spectral import (
     Grid,
@@ -20,6 +20,7 @@ from driftflow.spectral import (
     to_physical,
 )
 from driftflow.systems import (
+    MIX_FLOOR,
     N_MIN,
     StateDF,
     StateEulerNS,
@@ -38,6 +39,8 @@ from driftflow.systems import (
     rhs_euler_ns_scaled,
     rhs_tns,
     total_momentum_rate,
+    _gas_density,
+    _mixture,
 )
 
 from conftest import random_field, small_field
@@ -52,11 +55,11 @@ def smooth_state(seed=0, amplitude=0.05, grid=GRID):
 
 
 def zero_scalar(grid):
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+    return SpectralField(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
 
 
 def zero_vector(grid):
-    return SpectralField(grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128))
+    return SpectralField(grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128))
 
 
 def equilibrium(rho_bar=0.4, grid=GRID):
@@ -326,7 +329,7 @@ class TestAsymptoticProfile:
     def test_still_fluid_keeps_initial_density(self, rng):
         rho0 = random_field(GRID, rng)
         times = np.linspace(0, 5, 11)
-        zeros = [np.zeros(GRID.shape, dtype=np.complex128) for _ in times]
+        zeros = [np.zeros(GRID.spectral_shape, dtype=np.complex128) for _ in times]
         prof, tail = asymptotic_profile(times, zeros, rho0)
         assert np.array_equal(prof.coeffs, rho0.coeffs)
         assert tail == 0.0
@@ -350,3 +353,56 @@ class TestAsymptoticProfile:
                for _ in times]
         with pytest.raises(TailNotConverged):
             asymptotic_profile(times, big, rho0)
+
+
+class TestValidateGuards:
+    def test_nan_coefficient_fails_validate(self):
+        st = euler_ns_state(Grid(2, 32, 8.0 * np.pi), DataRecipe(seed=1))
+        st.v.coeffs[0, 1, 2] = np.nan
+        with pytest.raises(NonFiniteField):
+            st.validate()
+
+    @pytest.mark.parametrize("name", ["rho", "a", "v"])
+    def test_nan_in_any_df_field_fails_validate(self, name):
+        st = df_state(GRID, DataRecipe(seed=2))
+        st.fields()[name].coeffs[(0,) * st.fields()[name].coeffs.ndim] = np.inf
+        with pytest.raises(NonFiniteField):
+            st.validate()
+
+    def test_nan_in_tns_field_fails_validate(self):
+        st = tns_state(GRID, DataRecipe(seed=3))
+        st.varrho.coeffs[1, 1] = np.nan
+        with pytest.raises(NonFiniteField):
+            st.validate()
+
+    def test_floors_fail_on_nan_samples(self):
+        nan = np.full(GRID.shape, np.nan)
+        with pytest.raises(VacuumGas):
+            _gas_density(nan, 1.0)
+        with pytest.raises(DegenerateMixture):
+            _mixture(nan, nan, 1.0)
+
+    def test_validate_reads_the_mach_number(self):
+        # 1 + a < 0, but 1 + eps*a = 0.85 is admissible for eps = 0.1
+        a = from_physical(GRID, -1.5 * np.ones(GRID.shape))
+        st = StateEulerNS(from_physical(GRID, 0.3 * np.ones(GRID.shape)), zero_vector(GRID),
+                          a, zero_vector(GRID))
+        with pytest.raises(VacuumGas):
+            st.validate()
+        assert st.validate(eps=0.1) is st
+        df = StateDF(from_physical(GRID, 0.3 * np.ones(GRID.shape)), a, zero_vector(GRID))
+        with pytest.raises(DegenerateMixture):
+            df.validate()
+        assert df.validate(eps=0.1) is df
+
+    def test_df_validate_shares_the_rhs_mixture_floor(self):
+        # mixture 1 + rho + a just above and just below MIX_FLOOR
+        for level, raises in ((MIX_FLOOR - 1e-3, True), (MIX_FLOOR + 1e-3, False)):
+            rho = from_physical(GRID, (level - 1.0) * np.ones(GRID.shape))
+            st = StateDF(rho, zero_scalar(GRID), zero_vector(GRID))
+            for check in (lambda s: s.validate(), lambda s: rhs_df(s, PAR)):
+                if raises:
+                    with pytest.raises(DegenerateMixture):
+                        check(st)
+                else:
+                    check(st)
