@@ -28,6 +28,7 @@ from .besov import (
     besov_weak_norm,
     chemin_lerner_norm,
     dyadic_block,
+    dyadic_sum,
     family_for,
     hybrid_norm,
     split_low_high,

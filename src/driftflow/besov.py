@@ -11,7 +11,7 @@ phi(r) = chi(r/2) - chi(r), supported in 3/4 <= r <= 8/3, and the family
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -81,39 +81,42 @@ class LPFamily:
     """
     The dyadic multiplier family bound to a grid.
 
-    Block weights phi(2^-j |xi|) are tabulated once per (grid, j) and reused
-    by every norm evaluation.
+    ``weights`` stacks every block weight phi(2^-j |xi|), j = j_min..j_max,
+    on the grid's spectral lattice, shape (J,) + grid.spectral_shape; it is
+    tabulated once and read by every norm evaluation.
     """
 
     grid: Grid
     j_min: int
     j_max: int
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._weights: dict[int, np.ndarray] = {}
+        scales = 2.0 ** self.j_values.reshape((-1,) + (1,) * self.grid.dim)
+        self.weights = phi(self.grid.kmag / scales)
+        # the squared rows, flat, for the p = 2 block norms
+        self._squares = np.square(self.weights).reshape(len(scales), -1)
 
     @classmethod
-    def for_grid(cls, grid: Grid, pad: int = 1) -> "LPFamily":
+    def for_grid(cls, grid: Grid) -> "LPFamily":
+        """The family whose annuli cover the grid's radii, one block spare each side."""
         radii = grid.active_radii()
         j_min, j_max = block_j_range(float(radii[0]), float(radii[-1]))
-        return cls(grid, j_min - pad, j_max + pad)
+        return cls(grid, j_min - 1, j_max + 1)
 
     @property
     def j_values(self) -> np.ndarray:
         return np.arange(self.j_min, self.j_max + 1)
 
     def weight(self, j: int) -> np.ndarray:
-        if j not in self._weights:
-            self._weights[j] = phi(self.grid.kmag / 2.0**j)
-        return self._weights[j]
+        if not self.j_min <= j <= self.j_max:
+            raise ValueError(f"block index {j} outside family range [{self.j_min}, {self.j_max}]")
+        return self.weights[j - self.j_min]
 
     def partition_residual(self) -> float:
-        """max |sum_j phi(2^-j r) - 1| over the grid's active radii."""
-        r = self.grid.active_radii()
-        total = np.zeros_like(r)
-        for j in self.j_values:
-            total += phi(r / 2.0**j)
-        return float(np.max(np.abs(total - 1.0)))
+        """max |sum_j phi(2^-j |xi|) - 1| over the grid's nonzero modes."""
+        total = np.sum(self.weights, axis=0)
+        return float(np.max(np.abs(total[self.grid.kmag > 0] - 1.0)))
 
 
 _FAMILIES: dict[tuple, LPFamily] = {}
@@ -133,7 +136,6 @@ class BesovSpec:
     s: float
     p: float = 2.0
     r: float = 1.0
-    j_split: int | None = None  # optional low/high threshold
 
 
 @dataclass
@@ -161,8 +163,6 @@ class BlockTimeSeries:
 def dyadic_block(f: SpectralField, j: int, family: LPFamily | None = None) -> SpectralField:
     """Frequency-localize f to the annulus |xi| ~ 2^j."""
     fam = family or family_for(f.grid)
-    if j < fam.j_min or j > fam.j_max:
-        raise ValueError(f"block index {j} outside family range [{fam.j_min}, {fam.j_max}]")
     return SpectralField(f.grid, f.coeffs * fam.weight(j))
 
 
@@ -176,16 +176,14 @@ def block_lp_norm(f: SpectralField, j: int, p: float, family: LPFamily | None = 
 
 
 def block_l2_spectrum(f: SpectralField, family: LPFamily | None = None) -> np.ndarray:
-    """All block L2 norms at once (vectorized over j)."""
+    """All block L2 norms at once: the squared weight table contracted
+    against the Parseval-weighted |c|^2."""
     fam = family or family_for(f.grid)
     amp2 = f.coeffs.real**2 + f.coeffs.imag**2
     if f.is_vector:
         amp2 = np.sum(amp2, axis=0)
     amp2 *= f.grid.parseval_weight
-    out = np.empty(len(fam.j_values))
-    for i, j in enumerate(fam.j_values):
-        out[i] = np.sqrt(f.grid.volume * np.sum(fam.weight(j) ** 2 * amp2))
-    return out
+    return np.sqrt(f.grid.volume * (fam._squares @ amp2.ravel()))
 
 
 def block_lp_spectrum(f: SpectralField, p: float, family: LPFamily | None = None) -> np.ndarray:
@@ -195,10 +193,27 @@ def block_lp_spectrum(f: SpectralField, p: float, family: LPFamily | None = None
     return np.array([block_lp_norm(f, j, p, fam) for j in fam.j_values])
 
 
-def _lr_sum(weighted: np.ndarray, r: float) -> float:
+# ---------------------------------------------------------------------------
+# the weighted block sum and the low/high split
+
+
+def dyadic_sum(b: np.ndarray, js: np.ndarray, s: float, r: float = 1.0):
+    """l^r norm over axis 0 of 2^{js} b, for block values b of shape (J,)
+    (a float) or (J, T) (one norm per column)."""
+    b = np.asarray(b, dtype=np.float64)
+    w = 2.0 ** (np.asarray(js) * s).reshape((-1,) + (1,) * (b.ndim - 1)) * b
     if np.isinf(r):
-        return float(np.max(weighted)) if weighted.size else 0.0
-    return float(np.sum(weighted**r) ** (1.0 / r))
+        return np.max(w, axis=0, initial=0.0)
+    return np.sum(w**r, axis=0) ** (1.0 / r)
+
+
+def _low_high(b: np.ndarray, js: np.ndarray, j0: int, s_low: float, s_high: float,
+              r: float = 1.0):
+    """The split every low/high norm uses: the low part sums j <= j0 at index
+    s_low, the high part sums j >= j0 - 1 at index s_high (the blocks
+    j0 - 1 and j0 count in both)."""
+    low, high = js <= j0, js >= j0 - 1
+    return dyadic_sum(b[low], js[low], s_low, r), dyadic_sum(b[high], js[high], s_high, r)
 
 
 def besov_norm(
@@ -216,9 +231,7 @@ def besov_norm(
     if spec.p not in _SUPPORTED_P:
         raise UnsupportedP(f"p = {spec.p} not in {{1, 2, 4, inf}}")
     fam = family or family_for(f.grid)
-    b = block_lp_spectrum(f, spec.p, fam)
-    w = 2.0 ** (fam.j_values * spec.s) * b
-    return _lr_sum(w, spec.r)
+    return float(dyadic_sum(block_lp_spectrum(f, spec.p, fam), fam.j_values, spec.s, spec.r))
 
 
 def besov_weak_norm(f: SpectralField, s: float, family: LPFamily | None = None) -> float:
@@ -236,20 +249,14 @@ def split_low_high(
     family: LPFamily | None = None,
 ) -> tuple[float, float]:
     """
-    Low/high parts of the Besov norm: the low part sums j <= j0 at index
-    s_low, the high part sums j >= j0 - 1 at index s_high (default s_low).
-    An eps-threshold split uses j0 = floor(log2(1/eps)).
+    Low/high parts of the Besov norm (the split of ``_low_high``), the high
+    part at index s_high (default s_low).  An eps-threshold split uses
+    j0 = floor(log2(1/eps)).
     """
-    if s_high is None:
-        s_high = s_low
     fam = family or family_for(f.grid)
-    b = block_lp_spectrum(f, p, fam)
-    js = fam.j_values
-    low = js <= j0
-    high = js >= j0 - 1
-    lo = _lr_sum(2.0 ** (js[low] * s_low) * b[low], r)
-    hi = _lr_sum(2.0 ** (js[high] * s_high) * b[high], r)
-    return lo, hi
+    lo, hi = _low_high(block_lp_spectrum(f, p, fam), fam.j_values, j0, s_low,
+                       s_low if s_high is None else s_high, r)
+    return float(lo), float(hi)
 
 
 def hybrid_norm(
@@ -277,34 +284,20 @@ def threshold_from_eps(eps: float) -> int:
 
 
 def _time_lr(values: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
-    """L^rho norm in time of each block history (trapezoid quadrature)."""
-    if np.isinf(rho):
-        return np.max(values, axis=1)
-    if values.shape[1] < 2:
-        raise InsufficientSamples("need at least two samples for rho < inf")
-    return np.trapezoid(values**rho, times, axis=1) ** (1.0 / rho)
-
-
-def chemin_lerner_norm(
-    series: BlockTimeSeries,
-    rho: float,
-    s: float,
-    r: float = 1.0,
-    j_select: np.ndarray | None = None,
-) -> float:
-    """
-    Time-then-frequency norm: per block the L^rho-in-time norm, then the
-    weighted l^r sum over blocks.  ``j_select`` optionally restricts the block
-    set (boolean mask over series.j_values) for low/high variants.
-    """
+    """L^rho norm in time along the last axis (trapezoid quadrature)."""
     if rho not in (1.0, 2.0, np.inf):
         raise UnsupportedP(f"time exponent rho = {rho} not in {{1, 2, inf}}")
-    tn = _time_lr(series.values, series.times, rho)
-    js = series.j_values
-    if j_select is not None:
-        tn = tn[j_select]
-        js = js[j_select]
-    return _lr_sum(2.0 ** (js * s) * tn, r)
+    if np.isinf(rho):
+        return np.max(values, axis=-1)
+    if values.shape[-1] < 2:
+        raise InsufficientSamples("need at least two samples for rho < inf")
+    return np.trapezoid(values**rho, times, axis=-1) ** (1.0 / rho)
+
+
+def chemin_lerner_norm(series: BlockTimeSeries, rho: float, s: float, r: float = 1.0) -> float:
+    """Time-then-frequency norm: per block the L^rho-in-time norm, then the
+    weighted l^r sum over blocks."""
+    return float(dyadic_sum(_time_lr(series.values, series.times, rho), series.j_values, s, r))
 
 
 def chemin_lerner_low_high(
@@ -315,37 +308,19 @@ def chemin_lerner_low_high(
     j0: int = 0,
     r: float = 1.0,
 ) -> tuple[float, float]:
-    low = series.j_values <= j0
-    high = series.j_values >= j0 - 1
-    return (
-        chemin_lerner_norm(series, rho, s_low, r, j_select=low),
-        chemin_lerner_norm(series, rho, s_high, r, j_select=high),
-    )
+    """The time-then-frequency norm split into its low and high parts."""
+    lo, hi = _low_high(_time_lr(series.values, series.times, rho), series.j_values, j0,
+                       s_low, s_high, r)
+    return float(lo), float(hi)
 
 
 def lebesgue_besov_time_norm(series: BlockTimeSeries, rho: float, s: float, r: float = 1.0) -> float:
     """Frequency-then-time ordering: instantaneous Besov norm, then L^rho in t."""
-    inst = np.array(
-        [_lr_sum(2.0 ** (series.j_values * s) * series.values[:, i], r) for i in range(len(series.times))]
-    )
-    if np.isinf(rho):
-        return float(np.max(inst))
-    if len(series.times) < 2:
-        raise InsufficientSamples("need at least two samples for rho < inf")
-    return float(np.trapezoid(inst**rho, series.times) ** (1.0 / rho))
+    inst = dyadic_sum(series.values, series.j_values, s, r)
+    return float(_time_lr(inst, series.times, rho))
 
 
 def hybrid_time_l1_norm(series: BlockTimeSeries, s: float, s_prime: float, j0: int = 0) -> float:
     """L1-in-time norm of the intersection/sum-space norm (low at s, high at s')."""
-    js = series.j_values
-    low = js <= j0
-    high = js >= j0 - 1
-    inst = np.zeros(len(series.times))
-    for i in range(len(series.times)):
-        b = series.values[:, i]
-        inst[i] = _lr_sum(2.0 ** (js[low] * s) * b[low], 1.0) + _lr_sum(
-            2.0 ** (js[high] * s_prime) * b[high], 1.0
-        )
-    if len(series.times) < 2:
-        raise InsufficientSamples("need at least two samples")
-    return float(np.trapezoid(inst, series.times))
+    lo, hi = _low_high(series.values, series.j_values, j0, s, s_prime)
+    return float(_time_lr(lo + hi, series.times, 1.0))

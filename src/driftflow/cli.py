@@ -118,10 +118,8 @@ def cmd_df_limit(args) -> int:
 
 def cmd_decay(args) -> int:
     cfg = _load_config(args)
-    kwargs = _study_kwargs(args, cfg)
-    kwargs.pop("T", None)
     study = studies.decay_study(sigma1=args.sigma1 if args.sigma1 is not None else -1.0,
-                                **kwargs)
+                                **_study_kwargs(args, cfg))
     files = study_to_files(study, cfg.outdir, cfg)
     for key, fit in study.fits.items():
         print(f"decay: {key}: {fit} (target {study.details['target']:g})")
@@ -134,9 +132,7 @@ def cmd_decay(args) -> int:
 def cmd_incompressible(args) -> int:
     cfg = _load_config(args)
     values = [float(x) for x in args.values.split(",")] if args.values else [0.4, 0.2, 0.1, 0.05]
-    kwargs = _study_kwargs(args, cfg)
-    kwargs.pop("dt", None)
-    study = studies.incompressible_study(values, system=args.variant, **kwargs)
+    study = studies.incompressible_study(values, system=args.variant, **_study_kwargs(args, cfg))
     files = study_to_files(study, cfg.outdir, cfg)
     for key, fit in study.fits.items():
         print(f"incompressible: {key}: {fit}")
@@ -202,22 +198,19 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _add_config_flags(p):
+_RUN_FLAGS = {"seed": int, "system": str, "dim": int, "npts": int, "length": float,
+              "tau": float, "eps": float, "mu": float, "lam": float, "gamma": float,
+              "amplitude": float, "dt": float, "horizon": float}
+_GRID_FLAGS = ("dim", "npts", "length")
+
+
+def _add_config_flags(p, *names):
+    """--config and --outdir, plus the RunConfig flags the subcommand reads."""
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--outdir", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--system", choices=list(SYSTEMS))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--npts", type=int)
-    p.add_argument("--length", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--horizon", type=float)
+    for name in names:
+        choices = list(SYSTEMS) if name == "system" else None
+        p.add_argument(f"--{name}", type=_RUN_FLAGS[name], choices=choices)
 
 
 def build_parser():
@@ -229,27 +222,27 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one trajectory and record norms")
-    _add_config_flags(p)
+    _add_config_flags(p, *_RUN_FLAGS)
     p.add_argument("--snapshot", action="store_true", help="store final-state snapshots")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("relaxation", help="friction-time sweep of the velocity mismatch")
-    _add_config_flags(p)
+    _add_config_flags(p, *_GRID_FLAGS, "dt", "horizon")
     p.add_argument("--values", help="comma-separated tau values")
     p.set_defaults(fn=cmd_relaxation)
 
     p = sub.add_parser("df-limit", help="two-phase versus drift-flux error sweep")
-    _add_config_flags(p)
+    _add_config_flags(p, *_GRID_FLAGS, "dt", "horizon")
     p.add_argument("--values", help="comma-separated tau values")
     p.set_defaults(fn=cmd_df_limit)
 
     p = sub.add_parser("decay", help="large-time decay exponents on the torus")
-    _add_config_flags(p)
+    _add_config_flags(p, *_GRID_FLAGS, "dt")
     p.add_argument("--sigma1", type=float, help="low-frequency regularity index")
     p.set_defaults(fn=cmd_decay)
 
     p = sub.add_parser("incompressible", help="Mach-number sweep of acoustic norms")
-    _add_config_flags(p)
+    _add_config_flags(p, *_GRID_FLAGS, "horizon")
     p.add_argument("--values", help="comma-separated eps values")
     p.add_argument("--variant", default="df_scaled",
                    choices=["df_scaled", "euler_ns_scaled"])

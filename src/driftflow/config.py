@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ class RunConfig:
     cfl_safety: float = 0.4
     horizon: float = 20.0
     sample_dt: float | None = None
-    observables: list = dc_field(default_factory=lambda: ["besov:rel:1.0:2:1"])
     outdir: str = "runs"
 
     @classmethod

@@ -24,6 +24,9 @@ from .linear import green_acoustic, green_compressible, green_incompressible
 from .spectral import Grid, PhysParams, SpectralField, parseval_sum, to_physical
 from .systems import system_spec
 
+# the guard in ``integrate`` stops a run whose amplitude grows by this factor
+DIVERGENCE_FACTOR = 1e3
+
 
 @dataclass(frozen=True)
 class Scheme:
@@ -361,14 +364,15 @@ def integrate(
     observers: Sequence = (),
     sample_dt: float | None = None,
     validate_every: int = 25,
-    divergence_factor: float = 1e3,
 ) -> Trajectory:
     """
     Advance ``state0`` to time T, sampling the observers along the way.
 
-    When the drag rate is stiff relative to the main step, an initial ramp
-    phase with dt proportional to the friction time resolves the relaxation
-    layer (and is sampled every step so time quadratures see it); stability
+    The run steps on the grid of n = ceil(T/dt) equal steps.  When the drag
+    rate is stiff relative to that step, an initial ramp splits the first
+    steps into substeps proportional to the friction time to resolve the
+    relaxation layer (and samples every substep so time quadratures see it);
+    after the ramp the step times are those of a run without it.  Stability
     itself never requires the ramp since the drag is integrated exactly.
     """
     if T < 0:
@@ -380,15 +384,15 @@ def integrate(
     spec = system_spec(system)
     eps = spec.mach(params)
     kappa = spec.kappa(params) if spec.has_drag else None
-    phases = []
-    t_ramp = 0.0
-    if T > 0 and scheme.ramp and kappa is not None and 1.0 / kappa < 0.5 * dt_main:
-        t_ramp = min(24.0 / kappa, 0.25 * T)
-        n_ramp = max(1, int(np.ceil(t_ramp / (1.0 / (6.0 * kappa)))))
-        phases.append((t_ramp, n_ramp, True))
-    if T > t_ramp:
-        n_main = max(1, int(np.ceil((T - t_ramp) / dt_main)))
-        phases.append((T - t_ramp, n_main, False))
+    n_main = max(1, int(np.ceil(T / dt_main))) if T > 0 else 0
+    dt = T / n_main if n_main else dt_main
+    n_ramp = 0
+    phases = []  # (first step, end step, substeps per step, sample every substep)
+    if n_main and scheme.ramp and kappa is not None and 1.0 / kappa < 0.5 * dt_main:
+        n_ramp = int(np.ceil(min(24.0 / kappa, 0.25 * T) / dt))
+        phases.append((0, n_ramp, int(np.ceil(dt * 6.0 * kappa)), True))
+    if n_main > n_ramp:
+        phases.append((n_ramp, n_main, 1, False))
 
     if sample_dt is None:
         sample_dt = max(dt_main, T / 2000.0) if T > 0 else 1.0
@@ -402,25 +406,24 @@ def integrate(
 
     state = state0.copy()
     take_sample(state, 0.0)
-    amp_limit = divergence_factor * max(_amplitude(state), 1e-300)
+    amp_limit = DIVERGENCE_FACTOR * max(_amplitude(state), 1e-300)
     masses0 = {k: f.zero_mode().copy() for k, f in state.fields().items() if not f.is_vector}
 
     def guard(state, t):
         # written so that a NaN amplitude fails it
         if not _amplitude(state) <= amp_limit:
             raise Diverged(f"amplitude non-finite or grown by more than "
-                           f"{divergence_factor:g} at t = {t:.4g}")
+                           f"{DIVERGENCE_FACTOR:g} at t = {t:.4g}")
         try:
             state.validate(eps)
         except Exception as exc:
             raise StepRejected(str(exc)) from exc
 
-    t0 = 0.0
     steps_done = 0
     next_sample = sample_dt
-    for span, nsteps, dense in phases:
-        dt = span / nsteps
-        stepper = Stepper(system, grid, params, scheme, dt)
+    for first, end, sub, dense in phases:
+        stepper = Stepper(system, grid, params, scheme, dt / sub)
+        nsteps = (end - first) * sub
         for i in range(nsteps):
             try:
                 state = stepper.step(state)
@@ -429,19 +432,18 @@ def integrate(
                 # divergence the guard would have reported
                 if np.isfinite(_amplitude(state)):
                     raise
-                raise Diverged(f"amplitude non-finite at t = {t0 + i * dt:.4g}") from exc
-            t = t0 + (i + 1) * dt
+                raise Diverged(f"amplitude non-finite at t = {(first + i / sub) * dt:.4g}") from exc
+            t = (first + (i + 1) / sub) * dt
             steps_done += 1
             if steps_done % validate_every == 0:
                 guard(state, t)
-            at_end = (i == nsteps - 1) and (t0 + span >= T - 1e-12)
+            at_end = end == n_main and i == nsteps - 1
             if dense or t >= next_sample - 1e-12 or at_end:
                 if abs(t - times[-1]) > 1e-12:
                     times.append(t)
                     take_sample(state, t)
                 while next_sample <= t + 1e-12:
                     next_sample += sample_dt
-        t0 += span
     if steps_done % validate_every != 0:
         guard(state, times[-1])
 
@@ -452,7 +454,7 @@ def integrate(
     meta = {
         "system": system,
         "dt_main": dt_main,
-        "t_ramp": t_ramp,
+        "t_ramp": n_ramp * dt,
         "steps": steps_done,
         "mass_drift": float(np.real(drift)),
         "final_state": state,

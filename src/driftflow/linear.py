@@ -34,11 +34,13 @@ surfaces where the printed formulas have removable singularities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import roots_legendre
 
 from .besov import block_j_range, phi as lp_phi
 from .errors import QuadratureNotConverged
@@ -263,13 +265,10 @@ class RadialInit:
     Phi0: Callable = dc_field(default=lambda r: np.zeros_like(r))
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss(n: int):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return roots_legendre(n)
 
 
 def _block_integral(fn, r_lo: float, r_hi: float, n: int) -> np.ndarray:

@@ -15,16 +15,15 @@ import numpy as np
 
 from . import linear
 from .besov import (
-    BlockTimeSeries,
     besov_norm,
     chemin_lerner_low_high,
     chemin_lerner_norm,
-    family_for,
+    dyadic_sum,
     hybrid_norm,
     hybrid_time_l1_norm,
     split_low_high,
 )
-from .errors import NonPositiveData, WindowTooShort
+from .errors import InsufficientSamples, NonPositiveData, WindowTooShort
 from .initial_data import DataRecipe, coupled_euler_ns_data, df_state, euler_ns_state, initial_state
 from .integrate import (
     BlockObserver,
@@ -238,7 +237,8 @@ def df_limit_study(
         for t_ref, df_state_t in ref_states:
             key = round(t_ref, 9)
             if key not in ens_by_t:
-                continue
+                raise InsufficientSamples(f"tau = {tau:g}: no two-phase sample at the "
+                                          f"reference time t = {t_ref:g}")
             rn, vv, duv = _error_norms(ens_by_t[key], df_state_t, d2)
             if rn + vv > sup_rho_n + sup_v:
                 t_at_max = t_ref
@@ -314,6 +314,11 @@ def linear_decay_tier(
     return out
 
 
+def _mass_flux(state: StateEulerNS) -> SpectralField:
+    """div(rho u) with the dealiased product, exactly the rhs's -d(rho)/dt."""
+    return div(multiply(state.rho, state.u))
+
+
 def decay_study(
     sigma1: float = -1.0,
     grid: Grid | None = None,
@@ -352,20 +357,15 @@ def decay_study(
             (s.u.coeffs, s.v.coeffs), axis=0))),
         BlockObserver("rel", lambda s: s.u - s.v),
         BlockObserver("a", lambda s: s.a),
-        FieldObserver("div_rho_u", lambda s: div(multiply(s.rho, s.u, False))),
+        FieldObserver("div_rho_u", _mass_flux),
     ]
     # stacking u and v as one 2d-component field gives the summed L2 blocks
     traj = integrate(state0, T, Scheme(dt=dt), params, "euler_ns", obs, sample_dt=0.25)
 
     ts = traj.times
-    fam = family_for(grid)
-    js = fam.j_values
-
-    def inst_norm(series: BlockTimeSeries, s):
-        return np.array([np.sum(2.0 ** (js * s) * series.values[:, i]) for i in range(len(ts))])
-
-    uv_norm = inst_norm(traj.blocks["uv"], sigma)
-    rel_norm = inst_norm(traj.blocks["rel"], sigma)
+    uv, rel = traj.blocks["uv"], traj.blocks["rel"]
+    uv_norm = dyadic_sum(uv.values, uv.j_values, sigma)
+    rel_norm = dyadic_sum(rel.values, rel.j_values, sigma)
     fit_uv = fit_decay_exponent(ts, uv_norm, window)
     fit_rel = fit_decay_exponent(ts, rel_norm, window)
 
@@ -482,26 +482,15 @@ def initial_energy_bundle(state: StateEulerNS, params: PhysParams, sigma1: float
     """
     d2 = state.grid.dim / 2.0
     tau = params.tau
-    x0 = (
-        besov_norm(state.u, s=d2 - 1.0)
-        + tau * besov_norm(state.u, s=d2 + 1.0)
-        + hybrid_norm(state.a, d2 - 1.0, d2)
-        + besov_norm(state.v, s=d2 - 1.0)
-    )
-    out = {"X0": x0}
+    u_low = besov_norm(state.u, s=d2 - 1.0)
+    u_high = tau * besov_norm(state.u, s=d2 + 1.0)
+    a_hybrid = hybrid_norm(state.a, d2 - 1.0, d2)
+    v_low = besov_norm(state.v, s=d2 - 1.0)
+    out = {"X0": u_low + u_high + a_hybrid + v_low}
     if sigma1 is not None:
-        low = 0.0
-        for f in (state.rho, state.u, state.a, state.v):
-            lo, _ = split_low_high(f, sigma1, r=np.inf)
-            low += lo
-        out["Y0"] = (
-            low
-            + hybrid_norm(state.rho, d2 - 1.0, d2)
-            + hybrid_norm(state.a, d2 - 1.0, d2)
-            + besov_norm(state.u, s=d2 - 1.0)
-            + besov_norm(state.v, s=d2 - 1.0)
-            + tau * besov_norm(state.u, s=d2 + 1.0)
-        )
+        low = sum(split_low_high(f, sigma1, r=np.inf)[0]
+                  for f in (state.rho, state.u, state.a, state.v))
+        out["Y0"] = low + hybrid_norm(state.rho, d2 - 1.0, d2) + a_hybrid + u_low + v_low + u_high
     return out
 
 
@@ -521,16 +510,7 @@ def dissipation_bundle(traj: Trajectory, params: PhysParams) -> dict:
     u, a, v, rel = (traj.blocks[k] for k in ("u", "a", "v", "rel"))
     a_low, a_high = chemin_lerner_low_high(a, 1.0, d2 + 1.0, d2)
     rel_low, rel_high = chemin_lerner_low_high(rel, 1.0, d2, d2 - 1.0)
-    total = (
-        chemin_lerner_norm(u, 1.0, d2 + 1.0)
-        + a_low
-        + a_high
-        + chemin_lerner_norm(v, 1.0, d2 + 1.0)
-        + chemin_lerner_norm(rel, 2.0, d2 - 1.0) / np.sqrt(tau)
-        + (rel_low + rel_high) / tau
-    )
-    return {
-        "D": float(total),
+    parts = {
         "u_smoothing": chemin_lerner_norm(u, 1.0, d2 + 1.0),
         "a_low": a_low,
         "a_high": a_high,
@@ -538,3 +518,4 @@ def dissipation_bundle(traj: Trajectory, params: PhysParams) -> dict:
         "rel_sqrt_tau": chemin_lerner_norm(rel, 2.0, d2 - 1.0) / np.sqrt(tau),
         "rel_tau": (rel_low + rel_high) / tau,
     }
+    return {"D": float(sum(parts.values())), **parts}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftflow.besov import (
     BesovSpec,
@@ -10,11 +12,15 @@ from driftflow.besov import (
     besov_norm,
     besov_weak_norm,
     block_l2_spectrum,
+    block_lp_norm,
+    chemin_lerner_low_high,
     chemin_lerner_norm,
     chi,
     dyadic_block,
+    dyadic_sum,
     family_for,
     hybrid_norm,
+    hybrid_time_l1_norm,
     lebesgue_besov_time_norm,
     phi,
     split_low_high,
@@ -245,3 +251,86 @@ class TestCheminLerner:
         series = BlockTimeSeries(np.array([0.0]), family_for(grid2d).j_values, base[:, None])
         with pytest.raises(InsufficientSamples):
             chemin_lerner_norm(series, 2.0, s=0.0)
+
+
+class TestDyadicSum:
+    def test_columns_are_single_sums(self, rng):
+        js = np.arange(-3, 5)
+        b = rng.random((len(js), 6))
+        for r in (1.0, 2.0, np.inf):
+            cols = dyadic_sum(b, js, 0.7, r)
+            assert cols.shape == (6,)
+            for t in range(6):
+                assert np.isclose(cols[t], dyadic_sum(b[:, t], js, 0.7, r), rtol=1e-14)
+
+    def test_closed_forms(self):
+        js = np.array([0, 1, 2])
+        b = np.array([1.0, 1.0, 1.0])
+        assert np.isclose(dyadic_sum(b, js, 1.0), 7.0)
+        assert np.isclose(dyadic_sum(b, js, 1.0, 2.0), np.sqrt(21.0))
+        assert dyadic_sum(b, js, 1.0, np.inf) == 4.0
+        assert dyadic_sum(b[:0], js[:0], 1.0, np.inf) == 0.0
+
+    def test_table_rows_are_the_block_weights(self, grid2d):
+        fam = family_for(grid2d)
+        assert fam.weights.shape == (len(fam.j_values),) + grid2d.spectral_shape
+        for j in fam.j_values:
+            assert np.array_equal(fam.weight(j), phi(grid2d.kmag / 2.0**j))
+        for j in (fam.j_min - 1, fam.j_max + 1):
+            with pytest.raises(ValueError):
+                fam.weight(j)
+
+
+# ---------------------------------------------------------------------------
+# properties of the weight table and the one low/high split, on 2D and 3D grids
+
+GRIDS = [Grid(2, 16, 2.0 * np.pi), Grid(2, 24, 5.0), Grid(3, 8, 2.0 * np.pi), Grid(3, 12, 3.0)]
+PROPERTY = settings(max_examples=25, deadline=None)
+grids = st.sampled_from(GRIDS)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+indices = st.floats(min_value=-2.0, max_value=2.0)
+thresholds = st.integers(min_value=-3, max_value=3)
+
+
+def constant_series(f, ts):
+    """The blocks of f held constant over the sample times ts."""
+    fam = family_for(f.grid)
+    base = block_l2_spectrum(f, fam)
+    return BlockTimeSeries(ts, fam.j_values, np.outer(base, np.ones_like(ts)))
+
+
+class TestSplitProperties:
+    @PROPERTY
+    @given(grid=grids)
+    def test_weight_rows_partition_unity(self, grid):
+        total = np.sum(LPFamily.for_grid(grid).weights, axis=0)
+        nonzero = grid.kmag > 0
+        assert np.max(np.abs(total[nonzero] - 1.0)) < 1e-10
+        assert total[~nonzero].item() == 0.0
+
+    @PROPERTY
+    @given(grid=grids, seed=seeds, ncomp=st.sampled_from([1, 2]))
+    def test_table_contraction_matches_per_block_sums(self, grid, seed, ncomp):
+        f = random_field(grid, np.random.default_rng(seed), ncomp)
+        fam = family_for(grid)
+        per_block = [block_lp_norm(f, j, 2.0, fam) for j in fam.j_values]
+        assert np.allclose(block_l2_spectrum(f, fam), per_block, rtol=1e-12, atol=0.0)
+
+    @PROPERTY
+    @given(grid=grids, seed=seeds, s_low=indices, s_high=indices, j0=thresholds)
+    def test_space_split_is_the_sup_in_time_split(self, grid, seed, s_low, s_high, j0):
+        f = random_field(grid, np.random.default_rng(seed))
+        series = constant_series(f, np.linspace(0.0, 1.0, 3))
+        lo, hi = split_low_high(f, s_low, s_high, j0=j0)
+        lo_t, hi_t = chemin_lerner_low_high(series, np.inf, s_low, s_high, j0=j0)
+        assert np.isclose(lo_t, lo, rtol=1e-13, atol=0.0)
+        assert np.isclose(hi_t, hi, rtol=1e-13, atol=0.0)
+
+    @PROPERTY
+    @given(grid=grids, seed=seeds, s=indices, s_prime=indices, j0=thresholds)
+    def test_hybrid_l1_over_unit_interval(self, grid, seed, s, s_prime, j0):
+        f = random_field(grid, np.random.default_rng(seed))
+        series = constant_series(f, np.linspace(0.0, 1.0, 4))
+        expected = hybrid_norm(f, s, s_prime, j0=j0)
+        assert np.isclose(hybrid_time_l1_norm(series, s, s_prime, j0=j0), expected,
+                          rtol=1e-13, atol=0.0)

@@ -1,11 +1,13 @@
 """Configuration, persistence, and command-line surface tests."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftflow.cli import main
+from driftflow.cli import build_parser, main
 from driftflow.config import ResultRecord, RunConfig, read_csv, write_csv
 from driftflow.errors import ConfigError, FormatVersionMismatch
 from driftflow.spectral import Grid, SpectralField, save_field
@@ -81,6 +83,25 @@ class TestCLI:
         assert (tmp_path / "final_varrho.dfs").exists()
         cols, rows = read_csv(tmp_path / "series.csv")
         assert cols[0] == "t" and len(rows) >= 2
+
+    @pytest.mark.parametrize("argv", [
+        ["relaxation", "--seed", "5"],
+        ["verify", "--tau", "0.1"],
+        ["decay", "--horizon", "5"],
+        ["incompressible", "--dt", "0.01"],
+    ])
+    def test_unread_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_readme_command_lines_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [ln.strip() for ln in readme.read_text().splitlines()
+                 if ln.strip().startswith("driftflow ")]
+        assert len(lines) >= 8
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
 
     def test_besov_subcommand_single_mode(self, tmp_path, rng, capsys):
         grid = Grid(2, 32, 5.0 * np.pi)

@@ -190,6 +190,17 @@ class TestIntegrate:
         assert rel < 0.1 * l2_norm(final.v)  # velocities aligned by the drag
         assert traj.meta["t_ramp"] > 0  # the relaxation layer was refined
 
+    @pytest.mark.parametrize("tau", [0.02, 0.01, 0.001])
+    def test_ramp_keeps_the_ramp_free_sample_times(self, tau):
+        # tau < dt/2 ramps; every sample time of the ramp-free run must recur
+        grid = Grid(2, 16, 2.0 * np.pi)
+        par = PhysParams(tau=tau, mu=1.0, lam=0.0)
+        st = euler_ns_state(grid, DataRecipe(seed=1))
+        ramped = integrate(st, 2.0, Scheme(dt=0.05), par, "euler_ns", sample_dt=0.5)
+        plain = integrate(st, 2.0, Scheme(dt=0.05, ramp=False), par, "euler_ns", sample_dt=0.5)
+        assert ramped.meta["t_ramp"] > 0
+        assert set(np.round(plain.times, 9)) <= set(np.round(ramped.times, 9))
+
     def test_block_observer_records_series(self):
         st = euler_ns_state(GRID, DataRecipe(seed=10, amplitude=0.05))
         traj = integrate(st, 0.5, Scheme(dt=0.05), PAR, "euler_ns",

@@ -6,13 +6,14 @@ import pytest
 from driftflow.errors import NonPositiveData, WindowTooShort
 from driftflow.initial_data import DataRecipe, euler_ns_state
 from driftflow.integrate import BlockObserver, Scheme, integrate
-from driftflow.spectral import Grid, PhysParams
+from driftflow.spectral import Grid, PhysParams, l2_norm, to_physical
 from driftflow.studies import (
     StudyResult,
     dissipation_bundle,
     exp_rate_fit,
     fit_decay_exponent,
     initial_energy_bundle,
+    _mass_flux,
     rate_fit,
     relaxation_study,
 )
@@ -117,3 +118,12 @@ def test_heat_benchmark_exponent():
 
     fit = heat_benchmark_exponent(d=2, sigma=0.0)
     assert abs(fit.slope - 0.5) < 0.03
+
+
+def test_decay_flux_is_a_real_field():
+    # the dealiased flux has empty Nyquist planes: its coefficient norm is
+    # the physical quadrature of its samples
+    grid = Grid(2, 32, 8.0 * np.pi)
+    flux = _mass_flux(euler_ns_state(grid, DataRecipe(seed=3)))
+    quad = np.sqrt(grid.cell_volume * np.sum(to_physical(flux) ** 2))
+    assert abs(l2_norm(flux) - quad) < 1e-12 * quad
