@@ -47,9 +47,7 @@ from .systems import (
     StateTNS,
     SYSTEMS,
     SystemSpec,
-    asymptotic_profile,
     effective_mixed_velocity,
-    pressure_terms,
     relative_velocity_residual,
     rhs_df,
     rhs_df_scaled,

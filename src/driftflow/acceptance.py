@@ -301,7 +301,7 @@ def criterion_self_convergence() -> CriterionResult:
     T = 0.8
     finals = []
     for dt in (0.01, 0.005, 0.0025):
-        stepper = Stepper("euler_ns", grid, par, Scheme(kind="exp_rk2"), dt)
+        stepper = Stepper("euler_ns", grid, par, Scheme(), dt)
         x = st
         for _ in range(round(T / dt)):
             x = stepper.step(x)

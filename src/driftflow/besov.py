@@ -274,11 +274,6 @@ def hybrid_norm(
     return lo + hi
 
 
-def threshold_from_eps(eps: float) -> int:
-    """Dyadic split threshold with 2^j0 <= 1/eps."""
-    return math.floor(math.log2(1.0 / eps))
-
-
 # ---------------------------------------------------------------------------
 # time-then-frequency norms
 

@@ -23,21 +23,16 @@ from .spectral import l2_norm, linf_norm, load_field, save_field
 from .systems import SYSTEMS, system_spec
 
 
-def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = RunConfig.from_json(args.config)
-    else:
-        cfg = RunConfig()
-    for key in RunConfig.field_names():
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.validate()
-    return cfg
+def _load_config(args) -> tuple[RunConfig, set]:
+    """The run config, flags over the --config file over the defaults, and
+    the keys that the file or a flag set."""
+    data = json.loads(Path(args.config).read_text()) if getattr(args, "config", None) else {}
+    flags = {k: v for k in RunConfig.field_names() if (v := getattr(args, k, None)) is not None}
+    return RunConfig.from_dict({**data, **flags}), set(data) | set(flags)
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     state0 = initial_state(cfg.system, cfg.grid(), cfg.recipe())
@@ -61,7 +56,7 @@ def cmd_simulate(args) -> int:
             "system": cfg.system,
             "params": {"tau": cfg.tau, "eps": cfg.eps, "mu": cfg.mu,
                        "lam": cfg.lam, "gamma": cfg.gamma},
-            "scheme": {"kind": cfg.scheme, "dt": traj.meta["dt_main"]},
+            "dt": traj.meta["dt_main"],
             "config_hash": cfg.config_hash(),
         }
         (outdir / "final_state.json").write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -79,22 +74,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _study_kwargs(args, cfg: RunConfig) -> dict:
-    """Grid/horizon/step overrides for a study, only when explicitly given."""
+def _study_config(args) -> tuple[RunConfig, dict]:
+    """The run config and the study's grid/horizon/step overrides: each key
+    the subcommand has a flag for, set by that flag or by the config file."""
+    cfg, given = _load_config(args)
+    given &= set(vars(args))
     kwargs = {}
-    if any(getattr(args, k, None) is not None for k in ("dim", "npts", "length")):
+    if given & set(_GRID_FLAGS):
         kwargs["grid"] = cfg.grid()
-    if getattr(args, "horizon", None) is not None:
+    if "horizon" in given:
         kwargs["T"] = cfg.horizon
-    if getattr(args, "dt", None) is not None:
+    if "dt" in given and cfg.dt is not None:
         kwargs["dt"] = cfg.dt
-    return kwargs
+    return cfg, kwargs
 
 
 def _study_command(args, runner, default_params, name) -> int:
-    cfg = _load_config(args)
+    cfg, kwargs = _study_config(args)
     values = [float(x) for x in args.values.split(",")] if args.values else default_params
-    study = runner(values, **_study_kwargs(args, cfg))
+    study = runner(values, **kwargs)
     files = study_to_files(study, cfg.outdir, cfg)
     for key, fit in study.fits.items():
         print(f"{name}: {key}: {fit}")
@@ -117,9 +115,9 @@ def cmd_df_limit(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    cfg = _load_config(args)
+    cfg, kwargs = _study_config(args)
     study = studies.decay_study(sigma1=args.sigma1 if args.sigma1 is not None else -1.0,
-                                **_study_kwargs(args, cfg))
+                                **kwargs)
     files = study_to_files(study, cfg.outdir, cfg)
     for key, fit in study.fits.items():
         print(f"decay: {key}: {fit} (target {study.details['target']:g})")
@@ -130,9 +128,9 @@ def cmd_decay(args) -> int:
 
 
 def cmd_incompressible(args) -> int:
-    cfg = _load_config(args)
+    cfg, kwargs = _study_config(args)
     values = [float(x) for x in args.values.split(",")] if args.values else [0.4, 0.2, 0.1, 0.05]
-    study = studies.incompressible_study(values, system=args.variant, **_study_kwargs(args, cfg))
+    study = studies.incompressible_study(values, system=args.variant, **kwargs)
     files = study_to_files(study, cfg.outdir, cfg)
     for key, fit in study.fits.items():
         print(f"incompressible: {key}: {fit}")
@@ -141,7 +139,7 @@ def cmd_incompressible(args) -> int:
 
 
 def cmd_linear(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     checks = {
@@ -178,7 +176,7 @@ def cmd_besov(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = None if args.suite == "desk" else [args.suite]

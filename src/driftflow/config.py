@@ -44,7 +44,6 @@ class RunConfig:
     localized: bool = False
     k_lo: float = 0.5
     k_hi: float = 3.0
-    scheme: str = "exp_rk2"
     dt: float | None = None
     cfl_safety: float = 0.4
     horizon: float = 20.0
@@ -102,7 +101,7 @@ class RunConfig:
         )
 
     def scheme_obj(self) -> Scheme:
-        return Scheme(kind=self.scheme, dt=self.dt, cfl_safety=self.cfl_safety)
+        return Scheme(dt=self.dt, cfl_safety=self.cfl_safety)
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

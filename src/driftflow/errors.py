@@ -49,10 +49,6 @@ class NonPositiveData(DriftflowError):
     """Log-log fitting requires strictly positive data."""
 
 
-class TailNotConverged(DriftflowError):
-    """The time integral defining the terminal density profile has not settled."""
-
-
 class FormatVersionMismatch(DriftflowError):
     """A snapshot file carries an unknown magic tag or format version."""
 

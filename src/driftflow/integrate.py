@@ -26,22 +26,26 @@ from .systems import system_spec
 
 # the guard in ``integrate`` stops a run whose amplitude grows by this factor
 DIVERGENCE_FACTOR = 1e3
+# ``integrate`` validates the state every this many steps, and at the end
+VALIDATE_EVERY = 25
+# cap on the advective CFL estimate of the step
+DT_MAX = 0.1
 
 
 @dataclass(frozen=True)
 class Scheme:
-    """Time-stepping configuration."""
+    """The exponential midpoint step (exp_rk2): the linear symbol applied
+    exactly per mode, the nonlinearity at the start and the midpoint.
 
-    kind: str = "exp_rk2"      # exp_euler | exp_rk2 | imex_bdf2
-    dt: float | None = None    # None: advective CFL estimate
+    ``dt`` is the step, or None for ``cfl_safety`` times the advective CFL
+    limit (capped at ``DT_MAX``).  ``linear_only`` drops the nonlinearity,
+    which makes every step exact."""
+
+    dt: float | None = None
     cfl_safety: float = 0.4
-    dt_max: float = 0.1
-    linear_only: bool = False  # drop the nonlinearity (exactness checks)
-    ramp: bool = True          # refine dt through the initial drag layer
+    linear_only: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("exp_euler", "exp_rk2", "imex_bdf2"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
         if not 0 < self.cfl_safety <= 1:
@@ -174,7 +178,8 @@ def apply_propagator(tab: ModePropagatorTable, state):
 
 
 # ---------------------------------------------------------------------------
-# implicit resolvent for the IMEX scheme
+# implicit resolvent (I - alpha*L)^{-1}: no stepper uses it; perfbench/probe.py
+# wraps ``apply_resolvent`` by name, so both stay until the probe drops it
 
 
 @dataclass
@@ -223,7 +228,7 @@ def apply_resolvent(tab: ResolventTable, state):
 
 
 class Stepper:
-    """Bundles the tables and nonlinearity for a fixed (system, dt)."""
+    """The exponential midpoint step of one system at a fixed dt."""
 
     def __init__(self, system: str, grid: Grid, params: PhysParams, scheme: Scheme, dt: float):
         self.system = system
@@ -231,46 +236,19 @@ class Stepper:
         self.params = params
         self.scheme = scheme
         self.dt = dt
-        if scheme.kind == "exp_euler":
-            self.e_full = precompute_mode_propagators(grid, params, dt, system)
-        else:
-            self.e_half = precompute_mode_propagators(grid, params, 0.5 * dt, system)
-        # imex_bdf2 only: its implicit solve and its two-step history
-        self.resolvent = ResolventTable(system, grid, 2.0 * dt / 3.0, params)
-        self._prev = None
-        self._prev_nl = None
+        self.e_half = precompute_mode_propagators(grid, params, 0.5 * dt, system)
 
     def _nl(self, state):
         if self.scheme.linear_only:
             return state_lincomb(0.0, state)
         return nonlinear_rhs(self.system, state, self.params)
 
-    def _midpoint(self, state, k1):
-        """Exponential midpoint step, given the nonlinearity k1 at ``state``."""
+    def step(self, state):
         dt = self.dt
-        mid = apply_propagator(self.e_half, state_lincomb(1.0, state, 0.5 * dt, k1))
+        mid = apply_propagator(self.e_half, state_lincomb(1.0, state, 0.5 * dt, self._nl(state)))
         k2 = self._nl(mid)
         half = apply_propagator(self.e_half, state)
         return apply_propagator(self.e_half, state_lincomb(1.0, half, dt, k2))
-
-    def step(self, state):
-        dt = self.dt
-        if self.scheme.kind == "exp_euler":
-            k1 = self._nl(state)
-            return apply_propagator(self.e_full, state_lincomb(1.0, state, dt, k1))
-        if self.scheme.kind == "exp_rk2":
-            return self._midpoint(state, self._nl(state))
-        # imex_bdf2 with an exponential midpoint start step
-        nl_n = self._nl(state)
-        if self._prev is None:
-            new = self._midpoint(state, nl_n)
-        else:
-            lhs = state_lincomb(4.0 / 3.0, state, -1.0 / 3.0, self._prev)
-            force = state_lincomb(2.0, nl_n, -1.0, self._prev_nl)
-            new = apply_resolvent(self.resolvent, state_lincomb(1.0, lhs, 2.0 * dt / 3.0, force))
-        self._prev = state
-        self._prev_nl = nl_n
-        return new
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +324,7 @@ def estimate_dt(state, scheme: Scheme) -> float:
         if f.is_vector:
             sup = max(sup, float(np.max(np.sqrt(np.sum(to_physical(f) ** 2, axis=0)))))
     dt = scheme.cfl_safety * state.grid.dx / sup
-    return min(dt, scheme.dt_max)
+    return min(dt, DT_MAX)
 
 
 def _amplitude(state) -> float:
@@ -363,7 +341,6 @@ def integrate(
     system: str = "euler_ns",
     observers: Sequence = (),
     sample_dt: float | None = None,
-    validate_every: int = 25,
 ) -> Trajectory:
     """
     Advance ``state0`` to time T, sampling the observers along the way.
@@ -388,7 +365,7 @@ def integrate(
     dt = T / n_main if n_main else dt_main
     n_ramp = 0
     phases = []  # (first step, end step, substeps per step, sample every substep)
-    if n_main and scheme.ramp and kappa is not None and 1.0 / kappa < 0.5 * dt_main:
+    if n_main and kappa is not None and 1.0 / kappa < 0.5 * dt_main:
         n_ramp = int(np.ceil(min(24.0 / kappa, 0.25 * T) / dt))
         phases.append((0, n_ramp, int(np.ceil(dt * 6.0 * kappa)), True))
     if n_main > n_ramp:
@@ -435,7 +412,7 @@ def integrate(
                 raise Diverged(f"amplitude non-finite at t = {(first + i / sub) * dt:.4g}") from exc
             t = (first + (i + 1) / sub) * dt
             steps_done += 1
-            if steps_done % validate_every == 0:
+            if steps_done % VALIDATE_EVERY == 0:
                 guard(state, t)
             at_end = end == n_main and i == nsteps - 1
             if dense or t >= next_sample - 1e-12 or at_end:
@@ -444,7 +421,7 @@ def integrate(
                     take_sample(state, t)
                 while next_sample <= t + 1e-12:
                     next_sample += sample_dt
-    if steps_done % validate_every != 0:
+    if steps_done % VALIDATE_EVERY != 0:
         guard(state, times[-1])
 
     drift = 0.0

@@ -221,7 +221,7 @@ def df_limit_study(
     params = PhysParams(tau=1.0, mu=mu, lam=lam)
 
     df0 = df_state(grid, recipe)
-    ref = integrate(df0, T, Scheme(dt=dt, ramp=False), params, "df",
+    ref = integrate(df0, T, Scheme(dt=dt), params, "df",
                     [CheckpointObserver()], sample_dt)
     ref_states = ref.checkpoints
 
@@ -266,16 +266,6 @@ def df_limit_study(
 
 # ---------------------------------------------------------------------------
 # decay study
-
-
-def heat_benchmark_exponent(d: int = 2, sigma: float = 0.0, t_lo: float = 10.0, t_hi: float = 1000.0) -> RateFit:
-    """Pure solenoidal heat channel: fitted decay of the index-sigma norm
-    for data that is merely bounded in the weak norm at index -d/2."""
-    init = linear.RadialInit(Psi0=linear.cutoff_profile)
-    ts = np.geomspace(t_lo, t_hi, 40)
-    vals = [linear.continuum_linear_norms(init, sigma, -d / 2.0, t, d, tau=0.1)["v_B%s_21" % sigma]
-            for t in ts]
-    return fit_decay_exponent(ts, vals)
 
 
 def linear_decay_tier(
@@ -456,7 +446,7 @@ def incompressible_study(
             obs.append(BlockObserver("rel", lambda s: s.u - s.v))
         dt = min(dt_cap, eps / 4.0)
         sample_dt = min(2.0 * dt_cap, eps / 8.0)
-        traj = integrate(state0, T, Scheme(dt=dt, dt_max=dt), params, system, obs, sample_dt)
+        traj = integrate(state0, T, Scheme(dt=dt), params, system, obs, sample_dt)
         na = chemin_lerner_norm(traj.blocks["a_p"], 2.0, s_p)
         nq = chemin_lerner_norm(traj.blocks["qv_p"], 2.0, s_p)
         meas["acoustic_norm"].append(na + nq)

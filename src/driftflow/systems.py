@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMixture, NonFiniteField, StepRejected, TailNotConverged, VacuumGas
+from .errors import DegenerateMixture, NonFiniteField, StepRejected, VacuumGas
 from .spectral import (
     Grid,
     PhysParams,
@@ -47,7 +47,6 @@ from .spectral import (
     l2_norm,
     laplacian,
     leray_project,
-    parseval_sum,
     pointwise,
     to_physical,
 )
@@ -166,15 +165,6 @@ def _mixture(rho_ph: np.ndarray, a_ph: np.ndarray, eps: float) -> np.ndarray:
     return mix
 
 
-def pressure_terms(a: SpectralField, gamma: float) -> tuple[SpectralField, SpectralField]:
-    """The pointwise pressure coefficients g(a) and f(a), dealiased."""
-    a_ph = to_physical(a)
-    n_ph = _gas_density(a_ph, 1.0)
-    g_ph = 1.0 - n_ph ** (gamma - 2.0)
-    f_ph = -a_ph / n_ph
-    return pointwise(a.grid, g_ph), pointwise(a.grid, f_ph)
-
-
 def _visc(v: SpectralField, mu: float, lam: float) -> SpectralField:
     return mu * laplacian(v) + (mu + lam) * grad_div(v)
 
@@ -255,16 +245,6 @@ def rhs_euler_ns(state: StateEulerNS, params: PhysParams, include_linear: bool =
     return rhs_euler_ns_scaled(state, 1.0, params.tau, params, include_linear)
 
 
-def linear_rhs_euler_ns(state: StateEulerNS, params: PhysParams) -> StateEulerNS:
-    """The constant-coefficient part alone (drag, acoustics, viscosity)."""
-    g = state.grid
-    zero = SpectralField(g, np.zeros_like(state.rho.coeffs))
-    du = SpectralField(g, -(state.u.coeffs - state.v.coeffs) / params.tau)
-    da = -1.0 * div(state.v)
-    dv = SpectralField(g, -grad(state.a).coeffs + _visc(state.v, params.mu, params.lam).coeffs)
-    return StateEulerNS(zero, du, da, dv)
-
-
 # ---------------------------------------------------------------------------
 # drift-flux family: df, df_scaled
 
@@ -313,36 +293,6 @@ def rhs_df(state: StateDF, params: PhysParams, include_linear: bool = True) -> S
                + (mu lap v + (mu+lam) grad div v)/(rho+1+a)
     """
     return rhs_df_scaled(state, 1.0, params, include_linear)
-
-
-def momentum_rhs_df_conservative(state: StateDF, params: PhysParams) -> SpectralField:
-    """d/dt((rho+n)v) in conservative form; cross-check for rhs_df."""
-    g = state.grid
-    rho_ph = to_physical(state.rho)
-    a_ph = to_physical(state.a)
-    v_ph = to_physical(state.v)
-    mix = rho_ph + 1.0 + a_ph
-    out = np.zeros((g.dim,) + g.spectral_shape, dtype=np.complex128)
-    for i in range(g.dim):
-        row = pointwise(g, mix * v_ph[i] * v_ph)  # row i of (rho+n) v x v
-        out[i] = -div(row).coeffs
-    press = pointwise(g, (1.0 + a_ph) ** params.gamma / params.gamma)
-    out -= grad(press).coeffs
-    out += _visc(state.v, params.mu, params.lam).coeffs
-    return SpectralField(g, out)
-
-
-def momentum_rhs_df_nonconservative(state: StateDF, params: PhysParams) -> SpectralField:
-    """d/dt((rho+n)v) rebuilt from the non-conservative evaluation."""
-    g = state.grid
-    d = rhs_df(state, params)
-    rho_ph = to_physical(state.rho)
-    a_ph = to_physical(state.a)
-    v_ph = to_physical(state.v)
-    mix = rho_ph + 1.0 + a_ph
-    dmix_ph = to_physical(d.rho) + to_physical(d.a)
-    dv_ph = to_physical(d.v)
-    return pointwise(g, mix * dv_ph + dmix_ph * v_ph)
 
 
 # ---------------------------------------------------------------------------
@@ -493,33 +443,6 @@ def relative_velocity_residual(state: StateEulerNS, params: PhysParams) -> float
     )
     scale = max(l2_norm(lhs), l2_norm(out), 1e-300)
     return l2_norm(lhs - out) / scale
-
-
-def asymptotic_profile(
-    times: np.ndarray,
-    div_flux_coeffs: list[np.ndarray],
-    rho0: SpectralField,
-    tail_tol: float = 1e-8,
-    strict: bool = True,
-) -> tuple[SpectralField, float]:
-    """
-    Terminal density profile rho0 - integral of div(rho u) over the recorded
-    window, by trapezoid in time.  Returns (profile, final flux L2 norm);
-    in strict mode the final flux norm must be below ``tail_tol``.
-    """
-    g = rho0.grid
-    times = np.asarray(times, dtype=np.float64)
-    stack = np.stack(div_flux_coeffs)
-    tail = float(np.sqrt(g.volume * parseval_sum(g, stack[-1])))
-    if strict and tail > tail_tol:
-        raise TailNotConverged(f"final ||div(rho u)||_L2 = {tail:.3e} > {tail_tol:g}")
-    integ = np.trapezoid(stack, times, axis=0)
-    return SpectralField(g, rho0.coeffs - integ), tail
-
-
-def mass(f: SpectralField) -> float:
-    """Integral of a scalar field over the torus."""
-    return float(np.real(f.zero_mode())) * f.grid.volume
 
 
 def total_momentum_rate(state: StateEulerNS, params: PhysParams) -> float:

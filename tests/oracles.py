@@ -1,11 +1,15 @@
 """
 Independent reference computations used by the tests: a hand-rolled
 scaled-and-squared matrix exponential, exact linear convolution of centered
-spectra, and small helpers that avoid the production code paths.
+spectra, the linear part of the two-phase rhs, the drift-flux momentum rate
+in both forms, and small helpers that avoid the production code paths.
 """
 
 import numpy as np
 from scipy.signal import fftconvolve
+
+from driftflow.spectral import SpectralField, div, grad, grad_div, laplacian, pointwise, to_physical
+from driftflow.systems import StateDF, StateEulerNS, rhs_df
 
 
 def expm_scaled_squared(mat: np.ndarray, order: int = 16) -> np.ndarray:
@@ -70,3 +74,48 @@ def true_product_coeffs(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
 
 def trapz_time_l2(times, values):
     return np.sqrt(np.trapezoid(np.asarray(values) ** 2, times))
+
+
+def _visc(v: SpectralField, mu: float, lam: float) -> SpectralField:
+    return mu * laplacian(v) + (mu + lam) * grad_div(v)
+
+
+def linear_rhs_euler_ns(state: StateEulerNS, params) -> StateEulerNS:
+    """The constant-coefficient part of the euler_ns rhs alone (drag,
+    acoustics, viscosity)."""
+    g = state.grid
+    zero = SpectralField(g, np.zeros_like(state.rho.coeffs))
+    du = SpectralField(g, -(state.u.coeffs - state.v.coeffs) / params.tau)
+    da = -1.0 * div(state.v)
+    dv = SpectralField(g, -grad(state.a).coeffs + _visc(state.v, params.mu, params.lam).coeffs)
+    return StateEulerNS(zero, du, da, dv)
+
+
+def momentum_rhs_df_conservative(state: StateDF, params) -> SpectralField:
+    """d/dt((rho+n)v) of the df system in conservative form."""
+    g = state.grid
+    rho_ph = to_physical(state.rho)
+    a_ph = to_physical(state.a)
+    v_ph = to_physical(state.v)
+    mix = rho_ph + 1.0 + a_ph
+    out = np.zeros((g.dim,) + g.spectral_shape, dtype=np.complex128)
+    for i in range(g.dim):
+        row = pointwise(g, mix * v_ph[i] * v_ph)  # row i of (rho+n) v x v
+        out[i] = -div(row).coeffs
+    press = pointwise(g, (1.0 + a_ph) ** params.gamma / params.gamma)
+    out -= grad(press).coeffs
+    out += _visc(state.v, params.mu, params.lam).coeffs
+    return SpectralField(g, out)
+
+
+def momentum_rhs_df_nonconservative(state: StateDF, params) -> SpectralField:
+    """d/dt((rho+n)v) rebuilt from ``rhs_df``'s non-conservative evaluation."""
+    g = state.grid
+    d = rhs_df(state, params)
+    rho_ph = to_physical(state.rho)
+    a_ph = to_physical(state.a)
+    v_ph = to_physical(state.v)
+    mix = rho_ph + 1.0 + a_ph
+    dmix_ph = to_physical(d.rho) + to_physical(d.a)
+    dv_ph = to_physical(d.v)
+    return pointwise(g, mix * dv_ph + dmix_ph * v_ph)

@@ -24,7 +24,6 @@ from driftflow.besov import (
     lebesgue_besov_time_norm,
     phi,
     split_low_high,
-    threshold_from_eps,
 )
 from driftflow.errors import InsufficientSamples, UnsupportedP
 from driftflow.spectral import Grid, SpectralField, from_physical, l2_norm
@@ -189,7 +188,7 @@ class TestSplits:
     def test_eps_threshold_split(self):
         grid = Grid(2, 64, 2.0 * np.pi)
         f = single_mode_field(grid, (4, 0))  # radius 4
-        j0 = threshold_from_eps(1.0 / 8.0)   # 2^j0 = 8
+        j0 = 3   # 2^j0 = 8 = 1/eps at eps = 1/8
         lo, hi = split_low_high(f, 0.0, j0=j0)
         # the mode at radius 4 lives in blocks j = 1, 2, both <= j0 = 3
         assert np.isclose(lo, l2_norm(f), rtol=1e-10)

@@ -22,6 +22,8 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"system": "df", "coffee": True})
+        with pytest.raises(ConfigError):  # exp_rk2 is the only scheme, not a key
+            RunConfig.from_dict({"scheme": "exp_rk2"})
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -157,3 +159,35 @@ def test_linear_all_checks_serialize(tmp_path):
     assert rc == 0
     body = json.loads((tmp_path / "linear.json").read_text())
     assert body["payload"]["checks"]["kernel-shapes"]["passed"]
+
+
+# subcommand -> (study function, the study kwargs its flags map to)
+STUDY_FLAGS = {
+    "relaxation": ("relaxation_study", {"grid", "T", "dt"}),
+    "df-limit": ("df_limit_study", {"grid", "T", "dt"}),
+    "decay": ("decay_study", {"grid", "dt"}),
+    "incompressible": ("incompressible_study", {"grid", "T"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STUDY_FLAGS))
+def test_study_reads_the_config_file_keys(command, tmp_path, monkeypatch):
+    # each key the subcommand has a flag for reaches the study, from the
+    # config file or, overriding it, from the flag; the others do not
+    from driftflow import studies
+
+    name, expected = STUDY_FLAGS[command]
+    seen = {}
+
+    def fake_study(*args, **kwargs):
+        seen.update(kwargs)
+        return studies.StudyResult(command, "p", [], {}, {})
+
+    monkeypatch.setattr(studies, name, fake_study)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"npts": 16, "length": 9.0, "horizon": 2.0, "dt": 0.02}))
+    rc = main([command, "--config", str(cfg), "--length", "6.0", "--outdir", str(tmp_path)])
+    assert rc == 0
+    assert set(seen) - {"system", "sigma1"} == expected
+    assert (seen["grid"].dim, seen["grid"].npts, seen["grid"].length) == (2, 16, 6.0)
+    assert seen.get("T", 2.0) == 2.0 and seen.get("dt", 0.02) == 0.02

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from driftflow.errors import Diverged, StepRejected
-from driftflow.initial_data import DataRecipe, euler_ns_state, tns_state
+from driftflow.initial_data import DataRecipe, euler_ns_state, initial_state
 from driftflow.integrate import (
+    VALIDATE_EVERY,
     BlockObserver,
     ScalarObserver,
     Scheme,
@@ -78,19 +80,23 @@ class TestPropagatorTable:
             assert got.shape == grid.kmag.shape
             assert np.max(np.abs(got - w.reshape(grid.kmag.shape))) <= 1e-15, key
 
-    def test_half_steps_compose(self, rng):
-        st = euler_ns_state(GRID, DataRecipe(seed=3, amplitude=0.04))
-        half = precompute_mode_propagators(GRID, PAR, 0.15, "euler_ns")
-        full = precompute_mode_propagators(GRID, PAR, 0.30, "euler_ns")
-        two = apply_propagator(half, apply_propagator(half, st))
-        one = apply_propagator(full, st)
+    @settings(max_examples=25, deadline=None)
+    @given(system=strategies.sampled_from(["euler_ns", "df_scaled", "tns"]),
+           dt=strategies.floats(1e-3, 2.0), tau=strategies.floats(1e-3, 2.0))
+    def test_half_steps_compose(self, system, dt, tau):
+        par = PhysParams(tau=tau, eps=0.5, mu=1.0, lam=-0.5)
+        state = initial_state(system, GRID, DataRecipe(seed=3, amplitude=0.04))
+        half = precompute_mode_propagators(GRID, par, 0.5 * dt, system)
+        full = precompute_mode_propagators(GRID, par, dt, system)
+        two = apply_propagator(half, apply_propagator(half, state))
+        one = apply_propagator(full, state)
         assert state_distance(two, one) < 1e-10
 
 
 class TestStep:
     def test_equilibrium_fixed_through_thousand_steps(self):
         st = zero_state()
-        stepper = Stepper("euler_ns", GRID, PAR, Scheme(kind="exp_rk2"), 0.05)
+        stepper = Stepper("euler_ns", GRID, PAR, Scheme(), 0.05)
         x = st
         for _ in range(1000):
             x = stepper.step(x)
@@ -100,7 +106,7 @@ class TestStep:
         recipe = DataRecipe(seed=4, amplitude=1e-6, rho_amplitude=0.0, rho_floor=0.0)
         st = euler_ns_state(GRID, recipe)
         dt = 0.2
-        stepper = Stepper("euler_ns", GRID, PAR, Scheme(kind="exp_rk2", ramp=False), dt)
+        stepper = Stepper("euler_ns", GRID, PAR, Scheme(), dt)
         one = stepper.step(st)
         tab = precompute_mode_propagators(GRID, PAR, dt, "euler_ns")
         lin = apply_propagator(tab, st)
@@ -109,7 +115,7 @@ class TestStep:
     def test_linear_only_is_exact_for_any_step(self):
         st = euler_ns_state(GRID, DataRecipe(seed=5, amplitude=0.05))
         T, nsteps = 2.0, 4
-        stepper = Stepper("euler_ns", GRID, PAR, Scheme(kind="exp_rk2", linear_only=True), T / nsteps)
+        stepper = Stepper("euler_ns", GRID, PAR, Scheme(linear_only=True), T / nsteps)
         x = st
         for _ in range(nsteps):
             x = stepper.step(x)
@@ -123,7 +129,7 @@ class TestStep:
         T = 0.8
         results = []
         for dt in (0.04, 0.02, 0.01):
-            stepper = Stepper("euler_ns", GRID, par, Scheme(kind="exp_rk2"), dt)
+            stepper = Stepper("euler_ns", GRID, par, Scheme(), dt)
             x = st
             for _ in range(round(T / dt)):
                 x = stepper.step(x)
@@ -132,22 +138,6 @@ class TestStep:
         e2 = state_distance(results[1], results[2])
         order = np.log2(e1 / e2)
         assert 1.8 < order < 2.3
-
-    def test_imex_bdf2_converges_at_second_order(self):
-        st = euler_ns_state(GRID, DataRecipe(seed=6, amplitude=0.08))
-        par = PhysParams(tau=0.5, mu=1.0, lam=0.0)
-        T = 0.8
-        results = []
-        for dt in (0.02, 0.01, 0.005):
-            stepper = Stepper("euler_ns", GRID, par, Scheme(kind="imex_bdf2"), dt)
-            x = st
-            for _ in range(round(T / dt)):
-                x = stepper.step(x)
-            results.append(x)
-        e1 = state_distance(results[0], results[1])
-        e2 = state_distance(results[1], results[2])
-        order = np.log2(e1 / e2)
-        assert 1.6 < order < 2.4
 
 
 class TestIntegrate:
@@ -192,14 +182,13 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("tau", [0.02, 0.01, 0.001])
     def test_ramp_keeps_the_ramp_free_sample_times(self, tau):
-        # tau < dt/2 ramps; every sample time of the ramp-free run must recur
+        # tau < dt/2 ramps; every sample time of a ramp-free run must recur
         grid = Grid(2, 16, 2.0 * np.pi)
         par = PhysParams(tau=tau, mu=1.0, lam=0.0)
         st = euler_ns_state(grid, DataRecipe(seed=1))
         ramped = integrate(st, 2.0, Scheme(dt=0.05), par, "euler_ns", sample_dt=0.5)
-        plain = integrate(st, 2.0, Scheme(dt=0.05, ramp=False), par, "euler_ns", sample_dt=0.5)
         assert ramped.meta["t_ramp"] > 0
-        assert set(np.round(plain.times, 9)) <= set(np.round(ramped.times, 9))
+        assert {0.0, 0.5, 1.0, 1.5, 2.0} <= set(np.round(ramped.times, 9))
 
     def test_block_observer_records_series(self):
         st = euler_ns_state(GRID, DataRecipe(seed=10, amplitude=0.05))
@@ -214,11 +203,10 @@ class TestIntegrate:
         par = PhysParams(tau=0.2, mu=0.02, lam=0.0)
         st = euler_ns_state(GRID, DataRecipe(seed=11, amplitude=0.5))
         with pytest.raises((Diverged, StepRejected)):
-            integrate(st, 200.0, Scheme(dt=3.0, dt_max=5.0), par, "euler_ns",
-                      validate_every=5)
+            integrate(st, 200.0, Scheme(dt=3.0), par, "euler_ns")
 
     def test_nan_coefficient_raises_diverged(self):
-        # fewer steps than validate_every: only the final-state guard runs
+        # fewer steps than VALIDATE_EVERY: only the final-state guard runs
         st = euler_ns_state(GRID, DataRecipe(seed=1))
         st.v.coeffs[0, 1, 2] = np.nan
         with pytest.raises(Diverged):
@@ -245,7 +233,8 @@ def test_scaled_run_uses_the_scaled_gas_density_floor():
     par = PhysParams(tau=0.1, eps=0.1, mu=1.0, lam=0.0)
     st = zero_state(grid, rho_bar=0.3)
     st.a.coeffs[0, 0] = -1.5
-    traj = integrate(st, 0.5, Scheme(dt=0.05), par, "euler_ns_scaled", validate_every=2)
-    assert traj.meta["steps"] >= 10
+    traj = integrate(st, 0.5, Scheme(dt=0.05), par, "euler_ns_scaled")
+    # the drag ramp's substeps make the guard run inside the run, not only at its end
+    assert traj.meta["steps"] > VALIDATE_EVERY
     final = traj.meta["final_state"]
     assert np.allclose(to_physical(final.a), -1.5, atol=1e-12)

@@ -22,13 +22,12 @@ def test_cli_and_config_accept(name):
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
-@pytest.mark.parametrize("kind", ["exp_euler", "exp_rk2", "imex_bdf2"])
-def test_steps_conserve_transported_scalars(name, kind):
+def test_steps_conserve_transported_scalars(name):
     state0 = initial_state(name, GRID, DataRecipe(seed=3, amplitude=0.04, k_band=(0.5, 1.5)))
     assert isinstance(state0, SYSTEMS[name].state_cls)
-    stepper = Stepper(name, GRID, PAR, Scheme(kind=kind), 0.05)
+    stepper = Stepper(name, GRID, PAR, Scheme(), 0.05)
     state = state0
-    for _ in range(2):  # the second imex_bdf2 step is the implicit one
+    for _ in range(2):
         state = stepper.step(state)
     for key, f0 in state0.fields().items():
         f1 = state.fields()[key]

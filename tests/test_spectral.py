@@ -28,6 +28,12 @@ from driftflow.spectral import (
 from conftest import full_lattice, random_field
 from oracles import true_product_coeffs
 
+# the 2D and 3D grids of the property tests
+GRIDS = [Grid(2, 16, 2.0 * np.pi), Grid(2, 24, 5.0), Grid(3, 8, 2.0 * np.pi), Grid(3, 12, 3.0)]
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+grids = st.sampled_from(GRIDS)
+PROPERTY = settings(max_examples=25, deadline=None)
+
 
 class TestGrid:
     def test_field_roundtrip(self, grid2d, rng):
@@ -164,13 +170,16 @@ class TestDealias:
 
 
 class TestSnapshot(object):
-    def test_roundtrip_bit_exact(self, grid2d, rng, tmp_path):
-        f = random_field(grid2d, rng, ncomp=2)
-        path = tmp_path / "field.dfs"
+    @PROPERTY
+    @given(grid=grids, seed=seeds, vector=st.booleans())
+    def test_roundtrip_bit_exact(self, tmp_path_factory, grid, seed, vector):
+        f = random_field(grid, np.random.default_rng(seed), ncomp=grid.dim if vector else 1)
+        path = tmp_path_factory.mktemp("snapshot") / "field.dfs"
         save_field(path, f)
         back = load_field(path)
         assert np.array_equal(back.coeffs, f.coeffs)
-        assert back.grid.length == f.grid.length
+        assert back.grid.dim == grid.dim and back.grid.npts == grid.npts
+        assert back.grid.length == grid.length
 
     def test_bad_magic_rejected(self, grid2d, rng, tmp_path):
         f = random_field(grid2d, rng)
@@ -235,11 +244,6 @@ def _v1_header(grid, ncomp):
 
 # ---------------------------------------------------------------------------
 # properties of the half-spectrum layout, on 2D and 3D grids
-
-GRIDS = [Grid(2, 16, 2.0 * np.pi), Grid(2, 24, 5.0), Grid(3, 8, 2.0 * np.pi), Grid(3, 12, 3.0)]
-seeds = st.integers(min_value=0, max_value=2**32 - 1)
-grids = st.sampled_from(GRIDS)
-PROPERTY = settings(max_examples=25, deadline=None)
 
 
 def _rng_field(grid, seed, ncomp=1):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from driftflow.errors import DegenerateMixture, NonFiniteField, TailNotConverged, VacuumGas
+from driftflow.errors import DegenerateMixture, NonFiniteField, VacuumGas
 from driftflow.initial_data import DataRecipe, df_state, euler_ns_state, tns_state
 from driftflow.spectral import (
     Grid,
@@ -25,13 +25,7 @@ from driftflow.systems import (
     StateDF,
     StateEulerNS,
     StateTNS,
-    asymptotic_profile,
     effective_mixed_velocity,
-    linear_rhs_euler_ns,
-    mass,
-    momentum_rhs_df_conservative,
-    momentum_rhs_df_nonconservative,
-    pressure_terms,
     relative_velocity_residual,
     rhs_df,
     rhs_df_scaled,
@@ -44,6 +38,11 @@ from driftflow.systems import (
 )
 
 from conftest import random_field, small_field
+from oracles import (
+    linear_rhs_euler_ns,
+    momentum_rhs_df_conservative,
+    momentum_rhs_df_nonconservative,
+)
 
 GRID = Grid(2, 32, 4.0 * np.pi)
 PAR = PhysParams(tau=0.3, mu=0.7, lam=-0.2, gamma=3.0)
@@ -70,29 +69,6 @@ def equilibrium(rho_bar=0.4, grid=GRID):
 
 def state_norm(st):
     return max(l2_norm(f) for f in st.fields().values())
-
-
-class TestPressureTerms:
-    def test_zero_at_equilibrium(self):
-        a = zero_scalar(GRID)
-        g, f = pressure_terms(a, 3.0)
-        assert l2_norm(g) == 0.0 and l2_norm(f) == 0.0
-
-    def test_cubic_law_gives_minus_a(self, rng):
-        a = small_field(GRID, rng, 0.1)
-        a.coeffs[0, 0] = 0.0
-        g, _ = pressure_terms(a, 3.0)
-        assert np.max(np.abs(g.coeffs + a.coeffs)) < 1e-12
-
-    def test_quadratic_law_gives_zero(self, rng):
-        a = small_field(GRID, rng, 0.1)
-        g, _ = pressure_terms(a, 2.0)
-        assert l2_norm(g) < 1e-13
-
-    def test_vacuum_rejected(self):
-        a = from_physical(GRID, -0.95 * np.ones(GRID.shape))
-        with pytest.raises(VacuumGas):
-            pressure_terms(a, 3.0)
 
 
 class TestEulerNS:
@@ -323,36 +299,6 @@ class TestMixedVelocity:
         mix = rho_ph + 1.0 + to_physical(st.a)
         expected = pointwise(GRID, (rho_ph / mix) * (to_physical(st.u) - to_physical(st.v)))
         assert l2_norm((V - st.v) - expected) < 1e-12
-
-
-class TestAsymptoticProfile:
-    def test_still_fluid_keeps_initial_density(self, rng):
-        rho0 = random_field(GRID, rng)
-        times = np.linspace(0, 5, 11)
-        zeros = [np.zeros(GRID.spectral_shape, dtype=np.complex128) for _ in times]
-        prof, tail = asymptotic_profile(times, zeros, rho0)
-        assert np.array_equal(prof.coeffs, rho0.coeffs)
-        assert tail == 0.0
-
-    def test_mass_of_profile_matches_initial(self, rng):
-        rho0 = random_field(GRID, rng)
-        rho0.coeffs[0, 0] = 0.7
-        times = np.linspace(0, 3, 7)
-        rng2 = np.random.default_rng(0)
-        fluxes = []
-        for t in times:
-            f = random_field(GRID, rng2, ncomp=2) * np.exp(-3.0 * t) * 1e-9
-            fluxes.append(div(f).coeffs)
-        prof, _ = asymptotic_profile(times, fluxes, rho0, strict=False)
-        assert abs(mass(prof) - mass(rho0)) < 1e-12
-
-    def test_unsettled_tail_rejected(self, rng):
-        rho0 = random_field(GRID, rng)
-        times = np.linspace(0, 1, 5)
-        big = [div(random_field(GRID, np.random.default_rng(3), ncomp=2)).coeffs
-               for _ in times]
-        with pytest.raises(TailNotConverged):
-            asymptotic_profile(times, big, rho0)
 
 
 class TestValidateGuards:
