@@ -10,6 +10,7 @@ from .spectral import (
     PhysParams,
     SpectralField,
     apply_derivative,
+    curl,
     dealias,
     div,
     from_physical,

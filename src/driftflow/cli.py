@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__, acceptance, studies
 from .besov import BesovSpec, besov_norm, family_for
-from .config import RunConfig, _jsonable, record_for, study_to_files, write_csv
+from .config import RunConfig, _jsonable, read_config_file, record_for, study_to_files, write_csv
 from .errors import DriftflowError
 from .initial_data import initial_state
 from .integrate import BlockObserver, ScalarObserver, integrate
@@ -26,7 +26,7 @@ from .systems import SYSTEMS, system_spec
 def _load_config(args) -> tuple[RunConfig, set]:
     """The run config, flags over the --config file over the defaults, and
     the keys that the file or a flag set."""
-    data = json.loads(Path(args.config).read_text()) if getattr(args, "config", None) else {}
+    data = read_config_file(args.config) if getattr(args, "config", None) else {}
     flags = {k: v for k in RunConfig.field_names() if (v := getattr(args, k, None)) is not None}
     return RunConfig.from_dict({**data, **flags}), set(data) | set(flags)
 

@@ -23,6 +23,23 @@ from .systems import system_spec
 
 FORMAT_TAG = "driftflow-io-1"
 
+# the JSON values each annotated field type accepts; bool is excluded from
+# the numbers because it is an int subclass
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+               "None": (type(None),)}
+
+
+def read_config_file(path) -> dict:
+    """The JSON object in a config file; ConfigError if it cannot be read,
+    is not JSON, or is not an object."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path}: expected a JSON object")
+    return data
+
 
 @dataclass
 class RunConfig:
@@ -59,13 +76,21 @@ class RunConfig:
         unknown = set(data) - cls.field_names()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        data = dict(data)
+        for name, value in data.items():
+            annotation = cls.__dataclass_fields__[name].type
+            allowed = tuple(t for part in annotation.split("|") for t in _JSON_TYPES[part.strip()])
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise ConfigError(f"config key {name!r} must be {annotation}, not {value!r}")
+            if float in allowed and isinstance(value, int):
+                data[name] = float(value)  # so that 9 and 9.0 hash alike
         cfg = cls(**data)
         cfg.validate()
         return cfg
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_config_file(path))
 
     def validate(self) -> "RunConfig":
         if self.prepared not in ("ill", "well"):

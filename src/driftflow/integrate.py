@@ -346,11 +346,12 @@ def integrate(
     Advance ``state0`` to time T, sampling the observers along the way.
 
     The run steps on the grid of n = ceil(T/dt) equal steps.  When the drag
-    rate is stiff relative to that step, an initial ramp splits the first
-    steps into substeps proportional to the friction time to resolve the
-    relaxation layer (and samples every substep so time quadratures see it);
-    after the ramp the step times are those of a run without it.  Stability
-    itself never requires the ramp since the drag is integrated exactly.
+    rate kappa is stiff relative to that step, an initial ramp resolves the
+    relaxation layer: substeps of about 1/(6 kappa) up to t = 24/kappa (at
+    most T/4), then one step onto the next grid point, sampling each of
+    them so time quadratures see the layer.  After the ramp the step times
+    are those of a run without it.  Stability itself never requires the
+    ramp since the drag is integrated exactly.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -364,12 +365,22 @@ def integrate(
     n_main = max(1, int(np.ceil(T / dt_main))) if T > 0 else 0
     dt = T / n_main if n_main else dt_main
     n_ramp = 0
-    phases = []  # (first step, end step, substeps per step, sample every substep)
+    phases = []  # (step, end times of the steps, sample every step)
     if n_main and kappa is not None and 1.0 / kappa < 0.5 * dt_main:
-        n_ramp = int(np.ceil(min(24.0 / kappa, 0.25 * T) / dt))
-        phases.append((0, n_ramp, int(np.ceil(dt * 6.0 * kappa)), True))
+        # substeps of about 1/(6 kappa) across the layer t_layer, then one
+        # step onto the ramp-free grid point n_ramp*dt
+        t_layer = min(24.0 / kappa, 0.25 * T)
+        n_ramp = int(np.ceil(t_layer / dt))
+        t_join = n_ramp * dt
+        if t_join - t_layer <= 1e-9 * dt:
+            t_layer = t_join
+        m = int(np.ceil(t_layer * 6.0 * kappa))
+        h = t_layer / m
+        phases.append((h, h * np.arange(1, m + 1), True))
+        if t_layer < t_join:
+            phases.append((t_join - t_layer, np.array([t_join]), True))
     if n_main > n_ramp:
-        phases.append((n_ramp, n_main, 1, False))
+        phases.append((dt, dt * np.arange(n_ramp + 1, n_main + 1), False))
 
     if sample_dt is None:
         sample_dt = max(dt_main, T / 2000.0) if T > 0 else 1.0
@@ -397,11 +408,12 @@ def integrate(
             raise StepRejected(str(exc)) from exc
 
     steps_done = 0
+    n_steps = sum(len(step_times) for _, step_times, _ in phases)
     next_sample = sample_dt
-    for first, end, sub, dense in phases:
-        stepper = Stepper(system, grid, params, scheme, dt / sub)
-        nsteps = (end - first) * sub
-        for i in range(nsteps):
+    for h, step_times, dense in phases:
+        stepper = Stepper(system, grid, params, scheme, h)
+        for t in step_times:
+            t = float(t)
             try:
                 state = stepper.step(state)
             except DriftflowError as exc:
@@ -409,13 +421,11 @@ def integrate(
                 # divergence the guard would have reported
                 if np.isfinite(_amplitude(state)):
                     raise
-                raise Diverged(f"amplitude non-finite at t = {(first + i / sub) * dt:.4g}") from exc
-            t = (first + (i + 1) / sub) * dt
+                raise Diverged(f"amplitude non-finite at t = {t - h:.4g}") from exc
             steps_done += 1
             if steps_done % VALIDATE_EVERY == 0:
                 guard(state, t)
-            at_end = end == n_main and i == nsteps - 1
-            if dense or t >= next_sample - 1e-12 or at_end:
+            if dense or t >= next_sample - 1e-12 or steps_done == n_steps:
                 if abs(t - times[-1]) > 1e-12:
                     times.append(t)
                     take_sample(state, t)

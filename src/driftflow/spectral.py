@@ -80,6 +80,7 @@ class Grid:
         weight[[0, -1]] = 1.0
         object.__setattr__(self, "kint", kint)
         object.__setattr__(self, "kvec", kvec)
+        object.__setattr__(self, "ikvec", 1j * kvec)  # the multiplier of grad, div and curl
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "kmag", kmag)
         object.__setattr__(self, "ehat", ehat)
@@ -247,6 +248,8 @@ def apply_derivative(f: SpectralField, op: str, s: float | None = None) -> Spect
 
     op = "grad"       scalar -> vector, multiplier i*xi
          "div"        vector -> scalar, multiplier i*xi .
+         "curl"       vector -> vector in 3D, i*xi x; in 2D the scalar
+                      d1 f2 - d2 f1
          "laplacian"  multiplier -|xi|^2
          "lambda_s"   multiplier |xi|^s (zero mode mapped to 0); s < 0 requires
                       a mean-free field.
@@ -255,11 +258,20 @@ def apply_derivative(f: SpectralField, op: str, s: float | None = None) -> Spect
     if op == "grad":
         if f.is_vector:
             raise ValueError("grad expects a scalar field")
-        return SpectralField(g, 1j * g.kvec * f.coeffs[np.newaxis])
+        return SpectralField(g, g.ikvec * f.coeffs[np.newaxis])
     if op == "div":
         if not f.is_vector:
             raise ValueError("div expects a vector field")
-        return SpectralField(g, np.sum(1j * g.kvec * f.coeffs, axis=0))
+        return SpectralField(g, np.sum(g.ikvec * f.coeffs, axis=0))
+    if op == "curl":
+        if f.num_components != g.dim:
+            raise ValueError("curl expects a vector field of the grid's dimension")
+        ik, c = g.ikvec, f.coeffs
+        if g.dim == 2:
+            return SpectralField(g, ik[0] * c[1] - ik[1] * c[0])
+        return SpectralField(g, np.stack([ik[(i + 1) % 3] * c[(i + 2) % 3]
+                                          - ik[(i + 2) % 3] * c[(i + 1) % 3]
+                                          for i in range(3)]))
     if op == "laplacian":
         return SpectralField(g, -g.k2 * f.coeffs)
     if op == "lambda_s":
@@ -284,6 +296,10 @@ def grad(f: SpectralField) -> SpectralField:
 
 def div(f: SpectralField) -> SpectralField:
     return apply_derivative(f, "div")
+
+
+def curl(f: SpectralField) -> SpectralField:
+    return apply_derivative(f, "curl")
 
 
 def laplacian(f: SpectralField) -> SpectralField:

@@ -21,7 +21,9 @@ the pressure coefficients
     g(a) = 1 - (1+a)^(gamma-2),    f(a) = -a / (1+a)
 
 are closed-form.  Composite nonlinearities are evaluated pointwise on the
-physical grid, transformed, and dealiased once.
+physical grid, transformed, and dealiased once.  Advection of a velocity
+takes the rotational form (v.grad)v = grad(|v|^2/2) - v x curl v, whose
+gradient term is added per mode (``_advection``).
 
 Every rhs takes ``include_linear``: with False it returns only the part
 complementary to the constant-coefficient symbol that an exponential
@@ -41,7 +43,9 @@ from .spectral import (
     Grid,
     PhysParams,
     SpectralField,
+    curl,
     div,
+    from_physical,
     grad,
     grad_div,
     l2_norm,
@@ -130,17 +134,44 @@ class StateTNS(_State):
 # helpers
 
 
-def _advect(vel_ph: np.ndarray, f: SpectralField) -> np.ndarray:
-    """(vel . grad) f in physical space; f scalar or vector."""
-    g = f.grid
-    if f.is_vector:
-        out = np.zeros((g.dim,) + g.shape)
-        for i in range(g.dim):
-            gi = to_physical(grad(f.component(i)))
-            out[i] = np.sum(vel_ph * gi, axis=0)
+def _lamb(vel_ph: np.ndarray, vel: SpectralField) -> np.ndarray:
+    """The samples of vel x curl(vel); in 2D curl(vel) is the scalar w and
+    vel x w = (v2 w, -v1 w)."""
+    w = to_physical(curl(vel))
+    out = np.empty_like(vel_ph)
+    if vel.grid.dim == 2:
+        np.multiply(vel_ph[1], w, out=out[0])
+        np.multiply(vel_ph[0], -w, out=out[1])
         return out
-    gf = to_physical(grad(f))
-    return np.sum(vel_ph * gf, axis=0)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(vel_ph[j], w[k], out=out[i])
+        out[i] -= vel_ph[k] * w[j]
+    return out
+
+
+def _advection(vel: SpectralField, vel_ph: np.ndarray, rest_ph: np.ndarray | None = None,
+               gradient: bool = True) -> SpectralField:
+    """
+    -(vel.grad)vel + rest, dealiased once, in the rotational form
+
+        -(v.grad)v = v x curl v - grad(|v|^2/2):
+
+    the samples of v x curl v and of ``rest_ph`` share one transform, and
+    the gradient of |v|^2/2 is subtracted per mode.  ``gradient=False``
+    leaves it out, for a caller whose Leray projection removes it anyway.
+    """
+    g = vel.grid
+    phys = _lamb(vel_ph, vel)
+    if rest_ph is not None:
+        phys += rest_ph
+    out = from_physical(g, phys).coeffs
+    if gradient:
+        energy = from_physical(g, 0.5 * np.einsum("i...,i...->...", vel_ph, vel_ph)).coeffs
+        for i in range(g.dim):
+            out[i] -= g.ikvec[i] * energy
+    out *= g.dealias_keep
+    return SpectralField(g, out)
 
 
 def _div_flux(grid: Grid, dens_ph: np.ndarray, vel_ph: np.ndarray) -> SpectralField:
@@ -207,7 +238,7 @@ def rhs_euler_ns_scaled(
     m_ph = _gas_density(a_ph, eps)
 
     drho = -1.0 * _div_flux(g, rho_ph, u_ph)
-    du = pointwise(g, -_advect(u_ph, state.u))
+    du = _advection(state.u, u_ph)
     da = -1.0 * _div_flux(g, a_ph, v_ph)
 
     grad_a_ph = to_physical(grad(state.a))
@@ -216,12 +247,9 @@ def rhs_euler_ns_scaled(
     pr = a_ph * _pressure_slope_ratio(eps * a_ph, gamma)
     rel_ph = u_ph - v_ph
     drag_v = rho_ph * rel_ph / (tau * m_ph)
-    dv = pointwise(
-        g,
-        -_advect(v_ph, state.v)
-        - ((pr - a_ph) / m_ph) * grad_a_ph
-        + (1.0 / m_ph - 1.0) * visc_ph
-        + drag_v,
+    dv = _advection(
+        state.v, v_ph,
+        -((pr - a_ph) / m_ph) * grad_a_ph + (1.0 / m_ph - 1.0) * visc_ph + drag_v,
     )
 
     if include_linear:
@@ -270,12 +298,8 @@ def rhs_df_scaled(state: StateDF, eps: float, params: PhysParams, include_linear
     visc_v = _visc(state.v, mu, lam)
     visc_ph = to_physical(visc_v)
     pr = a_ph * _pressure_slope_ratio(eps * a_ph, gamma)
-    dv = pointwise(
-        g,
-        -_advect(v_ph, state.v)
-        - ((pr - rho_ph - a_ph) / m_ph) * grad_a_ph
-        + (1.0 / m_ph - 1.0) * visc_ph,
-    )
+    dv = _advection(
+        state.v, v_ph, -((pr - rho_ph - a_ph) / m_ph) * grad_a_ph + (1.0 / m_ph - 1.0) * visc_ph)
 
     if include_linear:
         da = da - (1.0 / eps) * div(state.v)
@@ -308,8 +332,8 @@ def rhs_tns(state: StateTNS, params: PhysParams, include_linear: bool = True) ->
     w_ph = to_physical(state.w)
     varrho_ph = to_physical(state.varrho)
     dvarrho = -1.0 * _div_flux(g, varrho_ph, w_ph)
-    adv = pointwise(g, -_advect(w_ph, state.w))
-    dw, _ = leray_project(adv)
+    # the projection removes the gradient part of the rotational form per mode
+    dw, _ = leray_project(_advection(state.w, w_ph, gradient=False))
     if include_linear:
         dw = SpectralField(g, dw.coeffs + params.mu * laplacian(state.w).coeffs)
     return StateTNS(dvarrho, dw)
@@ -431,9 +455,8 @@ def relative_velocity_residual(state: StateEulerNS, params: PhysParams) -> float
     rel_ph = u_ph - v_ph
     f1_ph = ga * to_physical(grad(state.a)) + fa * visc_ph
     f2_ph = fa * rho_ph * rel_ph / tau
-    rhs_ph = (-_advect(u_ph, state.u) + _advect(v_ph, state.v)
-              - (rho_ph / tau) * rel_ph - f1_ph - f2_ph)
-    rhs_f = pointwise(g, rhs_ph)
+    rhs_f = (_advection(state.u, u_ph, -(rho_ph / tau) * rel_ph - f1_ph - f2_ph)
+             - _advection(state.v, v_ph))
     out = SpectralField(
         g,
         -(state.u.coeffs - state.v.coeffs) / tau

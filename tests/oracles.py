@@ -2,13 +2,28 @@
 Independent reference computations used by the tests: a hand-rolled
 scaled-and-squared matrix exponential, exact linear convolution of centered
 spectra, the linear part of the two-phase rhs, the drift-flux momentum rate
-in both forms, and small helpers that avoid the production code paths.
+in both forms, the advective form of (v.grad)v, the drift-flux limit
+measurements from stored checkpoints, and small helpers that avoid the
+production code paths.
 """
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from driftflow.spectral import SpectralField, div, grad, grad_div, laplacian, pointwise, to_physical
+from driftflow.errors import InsufficientSamples
+from driftflow.initial_data import coupled_euler_ns_data, df_state
+from driftflow.integrate import CheckpointObserver, Scheme, integrate
+from driftflow.spectral import (
+    PhysParams,
+    SpectralField,
+    div,
+    grad,
+    grad_div,
+    laplacian,
+    pointwise,
+    to_physical,
+)
+from driftflow.studies import _error_norms
 from driftflow.systems import StateDF, StateEulerNS, rhs_df
 
 
@@ -119,3 +134,46 @@ def momentum_rhs_df_nonconservative(state: StateDF, params) -> SpectralField:
     dmix_ph = to_physical(d.rho) + to_physical(d.a)
     dv_ph = to_physical(d.v)
     return pointwise(g, mix * dv_ph + dmix_ph * v_ph)
+
+
+def advection_advective(vel: SpectralField) -> SpectralField:
+    """-(v.grad)v in the advective form, sum_j v_j d_j v_i per component,
+    dealiased."""
+    g = vel.grid
+    v_ph = to_physical(vel)
+    out = np.zeros((g.dim,) + g.shape)
+    for i in range(g.dim):
+        out[i] = -np.sum(v_ph * to_physical(grad(vel.component(i))), axis=0)
+    return pointwise(g, out)
+
+
+def df_limit_checkpointed(tau_list, grid, recipe, T, dt, sample_dt, mu=1.0, lam=0.0):
+    """The drift-flux limit measurements from checkpoints of every run, each
+    two-phase checkpoint matched to the reference state at its time."""
+    d2 = grid.dim / 2.0
+    df0 = df_state(grid, recipe)
+    ref = integrate(df0, T, Scheme(dt=dt), PhysParams(tau=1.0, mu=mu, lam=lam), "df",
+                    [CheckpointObserver()], sample_dt)
+    meas = {"sup_error": [], "l1_velocity": [], "sup_density": [],
+            "sup_mixed_velocity": [], "t_at_max": []}
+    for tau in tau_list:
+        traj = integrate(coupled_euler_ns_data(df0, tau), T, Scheme(dt=dt),
+                         PhysParams(tau=tau, mu=mu, lam=lam), "euler_ns",
+                         [CheckpointObserver()], sample_dt)
+        ens_by_t = {round(t, 9): s for t, s in traj.checkpoints}
+        sup_rho_n, sup_v, t_at_max, l1_vals, ts = 0.0, 0.0, 0.0, [], []
+        for t_ref, df_t in ref.checkpoints:
+            if round(t_ref, 9) not in ens_by_t:
+                raise InsufficientSamples(f"no two-phase sample at t = {t_ref:g}")
+            rn, vv, duv = _error_norms(ens_by_t[round(t_ref, 9)], df_t, d2)
+            if rn + vv > sup_rho_n + sup_v:
+                t_at_max = t_ref
+            sup_rho_n, sup_v = max(sup_rho_n, rn), max(sup_v, vv)
+            ts.append(t_ref)
+            l1_vals.append(duv)
+        meas["t_at_max"].append(t_at_max)
+        meas["sup_density"].append(sup_rho_n)
+        meas["sup_mixed_velocity"].append(sup_v)
+        meas["sup_error"].append(sup_rho_n + sup_v)
+        meas["l1_velocity"].append(float(np.trapezoid(l1_vals, ts)))
+    return meas

@@ -32,6 +32,9 @@ class TestRunConfig:
             RunConfig.from_dict({"system": "navier"})
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"mu": -1.0})
+        with pytest.raises(ConfigError):  # bool is not an int
+            RunConfig.from_dict({"seed": True})
+        RunConfig.from_dict({"length": 9, "dt": None, "localized": True})  # int for float
 
     def test_hash_stable_under_key_order(self, tmp_path):
         a = tmp_path / "a.json"
@@ -41,6 +44,10 @@ class TestRunConfig:
         ca = RunConfig.from_json(a)
         cb = RunConfig.from_json(b)
         assert ca.config_hash() == cb.config_hash()
+
+    def test_hash_reads_an_integer_float_as_the_float(self):
+        assert (RunConfig.from_dict({"length": 9}).config_hash()
+                == RunConfig.from_dict({"length": 9.0}).config_hash())
 
     def test_hash_sensitive_to_values(self):
         assert RunConfig(tau=0.1).config_hash() != RunConfig(tau=0.2).config_hash()
@@ -138,6 +145,16 @@ class TestCLI:
         err = capsys.readouterr().err
         body = json.loads(err.strip().split("\n")[-1])
         assert body["error"] == "FormatVersionMismatch"
+
+    @pytest.mark.parametrize("text", ['{"npts": 16,', '{"npts": "16"}'],
+                             ids=["invalid-json", "wrong-type"])
+    def test_malformed_config_exit_is_machine_readable(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["simulate", "--config", str(cfg), "--outdir", str(tmp_path)])
+        assert rc == 2
+        body = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+        assert body["error"] == "ConfigError"
 
     def test_truncated_snapshot_exit_is_machine_readable(self, tmp_path, capsys):
         grid = Grid(2, 16, 2.0 * np.pi)

@@ -190,6 +190,17 @@ class TestIntegrate:
         assert ramped.meta["t_ramp"] > 0
         assert {0.0, 0.5, 1.0, 1.5, 2.0} <= set(np.round(ramped.times, 9))
 
+    def test_ramp_substeps_only_the_layer(self):
+        # the layer 24/kappa = 0.024 takes 145 substeps, then one step joins
+        # the grid at t = 0.05; substepping the whole first step took 340
+        grid = Grid(2, 16, 2.0 * np.pi)
+        par = PhysParams(tau=0.001, mu=1.0, lam=0.0)
+        st = euler_ns_state(grid, DataRecipe(seed=1))
+        ramped = integrate(st, 2.0, Scheme(dt=0.05), par, "euler_ns", sample_dt=0.5)
+        assert ramped.meta["steps"] < 200
+        assert ramped.meta["t_ramp"] == 0.05
+        assert 0.05 in set(np.round(ramped.times, 9))
+
     def test_block_observer_records_series(self):
         st = euler_ns_state(GRID, DataRecipe(seed=10, amplitude=0.05))
         traj = integrate(st, 0.5, Scheme(dt=0.05), PAR, "euler_ns",

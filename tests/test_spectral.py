@@ -12,6 +12,7 @@ from driftflow.spectral import (
     Grid,
     SpectralField,
     apply_derivative,
+    curl,
     dealias,
     div,
     from_physical,
@@ -299,12 +300,47 @@ class TestHalfSpectrumProperties:
         f = random_field(grid, rng)
         g = random_field(grid, rng)
         w = random_field(grid, rng, ncomp=grid.dim)
-        outs = [laplacian(f), grad(f), div(w), multiply(f, g), dealias(f),
+        outs = [laplacian(f), grad(f), div(w), curl(w), multiply(f, g), dealias(f),
                 apply_derivative(f, "lambda_s", s=1.5), *leray_project(w)]
         for out in outs:
             again = from_physical(grid, to_physical(out))
             scale = max(np.max(np.abs(out.coeffs)), 1.0)
             assert np.max(np.abs(again.coeffs - out.coeffs)) < 1e-13 * scale
+
+
+class TestCurl:
+    def test_two_dimensional_rotation(self, grid2d):
+        # v = (-sin y, sin x) has curl cos x + cos y
+        x, y = grid2d.coords()
+        v = from_physical(grid2d, np.stack([-np.sin(y), np.sin(x)]))
+        w = to_physical(curl(v))
+        assert w.shape == grid2d.shape
+        assert np.max(np.abs(w - (np.cos(x) + np.cos(y)))) < 1e-12
+
+    def test_three_dimensional_rotation(self, grid3d):
+        # v = (sin z, sin x, sin y) has curl (cos y, cos z, cos x)
+        x, y, z = grid3d.coords()
+        v = from_physical(grid3d, np.stack([np.sin(z), np.sin(x), np.sin(y)]))
+        w = to_physical(curl(v))
+        assert np.max(np.abs(w - np.stack([np.cos(y), np.cos(z), np.cos(x)]))) < 1e-12
+
+    def test_rejects_a_scalar(self, grid2d, rng):
+        with pytest.raises(ValueError):
+            curl(random_field(grid2d, rng))
+
+    @PROPERTY
+    @given(grid=st.sampled_from([g for g in GRIDS if g.dim == 3]), seed=seeds)
+    def test_div_curl_vanishes_per_mode(self, grid, seed):
+        f = _rng_field(grid, seed, ncomp=3)
+        scale = np.max(np.abs(grid.kvec)) ** 2 * np.max(np.abs(f.coeffs))
+        assert np.max(np.abs(div(curl(f)).coeffs)) <= 1e-14 * scale
+
+    @PROPERTY
+    @given(grid=grids, seed=seeds)
+    def test_curl_grad_vanishes_per_mode(self, grid, seed):
+        f = _rng_field(grid, seed)
+        scale = np.max(np.abs(grid.kvec)) ** 2 * np.max(np.abs(f.coeffs))
+        assert np.max(np.abs(curl(grad(f)).coeffs)) <= 1e-14 * scale
 
 
 class TestGridLayout:
@@ -315,7 +351,8 @@ class TestGridLayout:
             assert grid.spectral_shape == half
             for arr in (grid.kmag, grid.k2, grid.dealias_keep):
                 assert arr.shape == half
-            assert grid.kvec.shape == grid.ehat.shape == grid.kint.shape == (d,) + half
+            assert (grid.kvec.shape == grid.ikvec.shape == grid.ehat.shape == grid.kint.shape
+                    == (d,) + half)
             assert grid.parseval_weight.tolist() == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
 
     def test_field_of_full_lattice_shape_rejected(self, grid2d):

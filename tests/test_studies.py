@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from driftflow import linear
-from driftflow.errors import NonPositiveData, WindowTooShort
+from driftflow import linear, studies
+from driftflow.errors import InsufficientSamples, NonPositiveData, WindowTooShort
 from driftflow.initial_data import DataRecipe, euler_ns_state
-from driftflow.integrate import BlockObserver, Scheme, integrate
+from driftflow.integrate import BlockObserver, CheckpointObserver, Scheme, integrate
 from driftflow.spectral import Grid, PhysParams, l2_norm, to_physical
 from driftflow.studies import (
     StudyResult,
@@ -15,9 +15,12 @@ from driftflow.studies import (
     fit_decay_exponent,
     initial_energy_bundle,
     _mass_flux,
+    df_limit_study,
     rate_fit,
     relaxation_study,
 )
+
+from oracles import df_limit_checkpointed
 
 
 class TestRateFit:
@@ -112,6 +115,42 @@ class TestStudySmoke:
         assert cols[0] == "tau"
         assert len(rows) == 3
         assert len(rows[0]) == len(cols)
+
+
+class TestDriftFluxLimitStudy:
+    GRID = Grid(2, 16, 2.0 * np.pi)
+    RECIPE = DataRecipe(seed=11, sigma1=0.0, k_band=(1.0, 4.5))
+    # tau = 0.01 < dt/2 ramps: its dense layer samples fall between reference times
+    RUN = dict(grid=GRID, recipe=RECIPE, T=0.5, dt=0.05, sample_dt=0.1)
+    TAUS = [0.2, 0.05, 0.01]
+
+    def test_measurements_equal_the_checkpoint_oracle(self):
+        res = df_limit_study(self.TAUS, **self.RUN)
+        oracle = df_limit_checkpointed(self.TAUS, **self.RUN)
+        assert res.measurements == oracle
+
+    def test_two_phase_runs_keep_no_checkpoints(self, monkeypatch):
+        seen = []
+
+        def spy(state0, T, scheme, params, system, observers, sample_dt):
+            seen.append((system, [type(o) for o in observers]))
+            return integrate(state0, T, scheme, params, system, observers, sample_dt)
+
+        monkeypatch.setattr(studies, "integrate", spy)
+        df_limit_study(self.TAUS, **self.RUN)
+        assert [system for system, _ in seen] == ["df"] + ["euler_ns"] * len(self.TAUS)
+        assert all(CheckpointObserver not in kinds for _, kinds in seen[1:])
+
+    def test_unreached_reference_time_raises(self, monkeypatch):
+        # two-phase runs sampled at twice the cadence miss every other reference time
+        def sparse(state0, T, scheme, params, system, observers, sample_dt):
+            if system == "euler_ns":
+                sample_dt = 2.0 * sample_dt
+            return integrate(state0, T, scheme, params, system, observers, sample_dt)
+
+        monkeypatch.setattr(studies, "integrate", sparse)
+        with pytest.raises(InsufficientSamples):
+            df_limit_study(self.TAUS, **self.RUN)
 
 
 def test_heat_benchmark_exponent():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from driftflow.errors import DegenerateMixture, NonFiniteField, VacuumGas
 from driftflow.initial_data import DataRecipe, df_state, euler_ns_state, tns_state
@@ -33,12 +34,14 @@ from driftflow.systems import (
     rhs_euler_ns_scaled,
     rhs_tns,
     total_momentum_rate,
+    _advection,
     _gas_density,
     _mixture,
 )
 
 from conftest import random_field, small_field
 from oracles import (
+    advection_advective,
     linear_rhs_euler_ns,
     momentum_rhs_df_conservative,
     momentum_rhs_df_nonconservative,
@@ -69,6 +72,25 @@ def equilibrium(rho_bar=0.4, grid=GRID):
 
 def state_norm(st):
     return max(l2_norm(f) for f in st.fields().values())
+
+
+class TestRotationalForm:
+    GRIDS = [Grid(2, 16, 2.0 * np.pi), Grid(2, 24, 5.0), Grid(3, 8, 2.0 * np.pi),
+             Grid(3, 12, 3.0)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid=strategies.sampled_from(GRIDS), seed=strategies.integers(0, 2**32 - 1))
+    def test_equals_the_advective_form(self, grid, seed):
+        # the fields are band-limited, so both forms are alias-free on the
+        # retained band and equal there
+        vel = random_field(grid, np.random.default_rng(seed), ncomp=grid.dim)
+        oracle = advection_advective(vel)
+        scale = np.max(np.abs(oracle.coeffs))
+        rot = _advection(vel, to_physical(vel))
+        assert np.max(np.abs(rot.coeffs - oracle.coeffs)) <= 1e-12 * scale
+        # without its gradient term it has the same solenoidal part
+        sol = leray_project(_advection(vel, to_physical(vel), gradient=False))[0]
+        assert np.max(np.abs(sol.coeffs - leray_project(oracle)[0].coeffs)) <= 1e-12 * scale
 
 
 class TestEulerNS:
