@@ -1,12 +1,15 @@
 """
 The desk-scale acceptance battery: nine verdicts covering the exact linear
 theory, the fitted singular-limit rates, decay exponents, and the structural
-conservation identities.  Each criterion returns a CriterionResult and is
-budgeted in wall time.
+conservation identities.  Each criterion is a check returning ``(ok,
+details)`` under a ``_criterion(title, budget)`` decorator, which times it
+and returns a CriterionResult that passes only if the check holds within
+the wall-time budget.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -44,6 +47,25 @@ class CriterionResult:
         return f"[{status}] {self.name}  ({self.elapsed:.1f}s / budget {self.budget:.0f}s)"
 
 
+def _criterion(title: str, budget: float):
+    """Make a check returning ``(ok, details)`` a criterion: the wrapped call
+    is timed and passes only if ``ok`` holds within ``budget`` seconds."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, details = check(*args, **kwargs)
+            elapsed = time.perf_counter() - t0
+            return CriterionResult(title, bool(ok) and elapsed < budget, elapsed, budget,
+                                   details)
+
+        run.title = title
+        return run
+
+    return wrap
+
+
 def _expm_taylor(mat, order=16):
     mat = np.asarray(mat, dtype=np.complex128)
     norm = np.linalg.norm(mat, ord=np.inf)
@@ -59,9 +81,9 @@ def _expm_taylor(mat, order=16):
     return out
 
 
-def criterion_linear_oracle(n_samples: int = 200, seed: int = 100) -> CriterionResult:
+@_criterion("linear oracle equivalence", 5.0)
+def criterion_linear_oracle(n_samples: int = 200, seed: int = 100):
     """Closed-form propagator and eigenvalues against dense numerics."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     worst_prop, worst_eig = 0.0, 0.0
     for _ in range(n_samples):
@@ -79,22 +101,18 @@ def criterion_linear_oracle(n_samples: int = 200, seed: int = 100) -> CriterionR
         got = np.sort_complex(eigenvalues(xi, tau, mu, lam).as_array()[:3])
         ref = np.sort_complex(np.linalg.eigvals(compressible_matrix(xi, 1.0 / tau, nu)))
         worst_eig = max(worst_eig, float(np.max(np.abs(got - ref))))
-    elapsed = time.time() - t0
-    passed = worst_prop < 1e-10 and worst_eig < 1e-12 and elapsed < 5.0
-    return CriterionResult(
-        "linear oracle equivalence", passed, elapsed, 5.0,
-        {"max_propagator_error": worst_prop, "max_eigenvalue_error": worst_eig,
-         "samples": n_samples},
-    )
+    return worst_prop < 1e-10 and worst_eig < 1e-12, {
+        "max_propagator_error": worst_prop, "max_eigenvalue_error": worst_eig,
+        "samples": n_samples}
 
 
-def criterion_frequency_shapes() -> CriterionResult:
+@_criterion("frequency-localized kernel shapes", 30.0)
+def criterion_frequency_shapes():
     """
     Low-frequency blocks of the linear flow decay like exp(-c 4^j t) with a
     positive rate scaling as 4^j; the high-frequency velocity-mismatch kernel
     is bounded by C tau exp(-R t) with positive fitted R, uniformly in tau.
     """
-    t0 = time.time()
     ones = lambda r: np.ones_like(r)
     init = RadialInit(a0=ones, psi0=ones, Psi0=ones, phi0=ones, Phi0=ones)
     details: dict = {"low": {}, "high": {}}
@@ -139,15 +157,12 @@ def criterion_frequency_shapes() -> CriterionResult:
     cs = [details["high"][f"tau_{tau}"]["C"] for tau in (0.2, 0.1, 0.02)]
     details["high"]["prefactor_spread"] = max(cs) / min(cs)
     ok &= max(cs) / min(cs) < 5.0
-
-    elapsed = time.time() - t0
-    return CriterionResult("frequency-localized kernel shapes", ok and elapsed < 30.0,
-                           elapsed, 30.0, details)
+    return ok, details
 
 
-def criterion_decay_sandwich() -> CriterionResult:
+@_criterion("two-sided algebraic decay", 120.0)
+def criterion_decay_sandwich():
     """Two-sided algebraic decay of the linear flow at continuum frequencies."""
-    t0 = time.time()
     cases = [(2, -1.0, 0.0), (2, -1.0, 1.0), (3, -1.5, 0.5)]
     details = {}
     ok = True
@@ -161,46 +176,36 @@ def criterion_decay_sandwich() -> CriterionResult:
         details[f"d{d}_s1_{sigma1}_s_{sigma}"] = {
             "exponent": got, "target": target, "sandwich_ratio": r["sandwich_ratio"],
         }
-    elapsed = time.time() - t0
-    return CriterionResult("two-sided linear decay", ok and elapsed < 120.0,
-                           elapsed, 120.0, details)
+    return ok, details
 
 
-def criterion_relaxation_rates() -> CriterionResult:
+@_criterion("relaxation rate sweep", 900.0)
+def criterion_relaxation_rates():
     """Velocity-mismatch norms against the friction time over a sweep."""
-    t0 = time.time()
     res = studies.relaxation_study([0.2, 0.1, 0.05, 0.025], T=40.0, dt=0.05)
     s_sqrt = res.fits["sqrt_family"].slope
     s_tau = res.fits["tau_family"].slope
     ok = 0.40 <= s_sqrt <= 0.65 and 0.85 <= s_tau <= 1.15
-    elapsed = time.time() - t0
-    return CriterionResult(
-        "relaxation rate sweep", ok and elapsed < 900.0, elapsed, 900.0,
-        {"sqrt_slope": s_sqrt, "tau_slope": s_tau,
-         "sqrt_values": res.measurements["sqrt_family"],
-         "tau_values": res.measurements["tau_family"]},
-    )
+    return ok, {"sqrt_slope": s_sqrt, "tau_slope": s_tau,
+                "sqrt_values": res.measurements["sqrt_family"],
+                "tau_values": res.measurements["tau_family"]}
 
 
-def criterion_df_limit() -> CriterionResult:
+@_criterion("drift-flux limit error", 1800.0)
+def criterion_df_limit():
     """Two-phase to drift-flux distance against the friction time."""
-    t0 = time.time()
     res = studies.df_limit_study([0.2, 0.1, 0.05], T=20.0, dt=0.05, sample_dt=0.5)
     slope = res.fits["sup_error"].slope
     ok = 0.40 <= slope <= 0.70 and bool(res.details["monotone"])
-    elapsed = time.time() - t0
-    return CriterionResult(
-        "drift-flux limit error", ok and elapsed < 1800.0, elapsed, 1800.0,
-        {"slope": slope, "monotone": res.details["monotone"],
-         "sup_errors": res.measurements["sup_error"],
-         "l1_velocity_slope": res.fits["l1_velocity"].slope},
-    )
+    return ok, {"slope": slope, "monotone": res.details["monotone"],
+                "sup_errors": res.measurements["sup_error"],
+                "l1_velocity_slope": res.fits["l1_velocity"].slope}
 
 
-def criterion_nonlinear_decay() -> CriterionResult:
+@_criterion("nonlinear decay window", 1200.0)
+def criterion_nonlinear_decay():
     """Finite-box decay window: state exponent, mismatch enhancement, and the
     monotone approach of the dispersed density to its terminal profile."""
-    t0 = time.time()
     res = studies.decay_study()
     target = res.details["target"]
     e_state = res.fits["state_exponent"].slope
@@ -208,39 +213,31 @@ def criterion_nonlinear_decay() -> CriterionResult:
     ok = abs(e_state - target) <= 0.15
     ok &= (e_rel - e_state) >= 0.30
     ok &= bool(res.details["profile_distance_monotone"])
-    elapsed = time.time() - t0
-    return CriterionResult(
-        "nonlinear decay window", ok and elapsed < 1200.0, elapsed, 1200.0,
-        {"state_exponent": e_state, "target": target,
-         "relative_exponent": e_rel,
-         "enhancement": e_rel - e_state,
-         "profile_monotone": res.details["profile_distance_monotone"],
-         "flags": res.flags},
-    )
+    return ok, {"state_exponent": e_state, "target": target,
+                "relative_exponent": e_rel,
+                "enhancement": e_rel - e_state,
+                "profile_monotone": res.details["profile_distance_monotone"],
+                "flags": res.flags}
 
 
-def criterion_incompressible() -> CriterionResult:
+@_criterion("low-Mach rate sweep", 1200.0)
+def criterion_incompressible():
     """Low-Mach acoustic norms against eps, plus the drag-coupled variant."""
-    t0 = time.time()
     eps_list = [0.4, 0.2, 0.1, 0.05]
     res_df = studies.incompressible_study(eps_list, system="df_scaled")
     s_ac = res_df.fits["acoustic_norm"].slope
     res_ens = studies.incompressible_study(eps_list, system="euler_ns_scaled")
     s_rel = res_ens.fits["relative_norm"].slope
     ok = 0.05 <= s_ac <= 0.22 and 0.85 <= s_rel <= 1.15
-    elapsed = time.time() - t0
-    return CriterionResult(
-        "low-Mach rate sweep", ok and elapsed < 1200.0, elapsed, 1200.0,
-        {"acoustic_slope": s_ac, "relative_slope": s_rel,
-         "acoustic_values": res_df.measurements["acoustic_norm"],
-         "relative_values": res_ens.measurements["relative_norm"],
-         "free_space_slope": res_df.details["free_space_slope"]},
-    )
+    return ok, {"acoustic_slope": s_ac, "relative_slope": s_rel,
+                "acoustic_values": res_df.measurements["acoustic_norm"],
+                "relative_values": res_ens.measurements["relative_norm"],
+                "free_space_slope": res_df.details["free_space_slope"]}
 
 
-def criterion_conservation() -> CriterionResult:
+@_criterion("conservation and structure", 120.0)
+def criterion_conservation():
     """Mass, momentum, mismatch identity, equilibrium, partition of unity."""
-    t0 = time.time()
     grid = Grid(2, 48, 8.0 * np.pi)
     par = PhysParams(tau=0.15, mu=1.0, lam=0.0)
     details = {}
@@ -284,15 +281,12 @@ def criterion_conservation() -> CriterionResult:
     resid = family_for(grid).partition_residual()
     details["partition_residual"] = resid
     ok &= resid < 1e-10
-
-    elapsed = time.time() - t0
-    return CriterionResult("conservation and structure", ok and elapsed < 120.0,
-                           elapsed, 120.0, details)
+    return ok, details
 
 
-def criterion_self_convergence() -> CriterionResult:
+@_criterion("temporal self-convergence", 300.0)
+def criterion_self_convergence():
     """Observed temporal order of the midpoint exponential scheme."""
-    t0 = time.time()
     grid = Grid(2, 48, 8.0 * np.pi)
     par = PhysParams(tau=0.05, mu=1.0, lam=0.0)
     st = euler_ns_state(grid, DataRecipe(seed=31, amplitude=0.08))
@@ -311,10 +305,7 @@ def criterion_self_convergence() -> CriterionResult:
 
     e1, e2 = dist(finals[0], finals[1]), dist(finals[1], finals[2])
     order = float(np.log2(e1 / e2))
-    ok = 1.8 <= order <= 2.3
-    elapsed = time.time() - t0
-    return CriterionResult("temporal self-convergence", ok and elapsed < 300.0,
-                           elapsed, 300.0, {"order": order, "errors": [e1, e2]})
+    return 1.8 <= order <= 2.3, {"order": order, "errors": [e1, e2]}
 
 
 ALL_CRITERIA = [
@@ -330,13 +321,13 @@ ALL_CRITERIA = [
 ]
 
 
-def run_suite(names=None, verbose: bool = True):
-    """Run the acceptance battery (all criteria by default)."""
+def run_suite(names=None):
+    """Run the acceptance battery (all criteria by default, else those named,
+    in table order), printing each verdict line."""
     selected = ALL_CRITERIA if not names else [(n, f) for n, f in ALL_CRITERIA if n in names]
     results = []
     for name, fn in selected:
         res = fn()
         results.append((name, res))
-        if verbose:
-            print(res.line())
+        print(res.line())
     return results

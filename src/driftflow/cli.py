@@ -1,9 +1,13 @@
 """
-Command-line surface: single simulations, the four rate studies, linear
-analysis, snapshot norms, and the acceptance battery.
+Command-line surface: single simulations, the four rate studies, snapshot
+norms, and the acceptance battery.
 
-Every subcommand writes CSV/JSON artifacts into the output directory and
-exits 0 only if its in-scope checks pass.
+The four study subcommands share ``cmd_study``; each parser's defaults name
+its study, its default sweep and its own options.  ``verify --suite`` takes
+'desk' or a comma list of the criterion names of ``acceptance.ALL_CRITERIA``
+(the linear-theory checks are three of them); any other value is a usage
+error.  Every subcommand writes CSV/JSON artifacts into the output directory
+and exits 0 only if its in-scope checks pass.
 """
 
 from __future__ import annotations
@@ -89,76 +93,27 @@ def _study_config(args) -> tuple[RunConfig, dict]:
     return cfg, kwargs
 
 
-def _study_command(args, runner, default_params, name) -> int:
+def cmd_study(args) -> int:
+    """Run the subcommand's study (set by its parser): over ``--values`` or
+    its default sweep if it sweeps, with its own options and the keys of
+    ``_study_config``."""
     cfg, kwargs = _study_config(args)
-    values = [float(x) for x in args.values.split(",")] if args.values else default_params
-    study = runner(values, **kwargs)
+    kwargs.update({key: val for key, flag in args.options.items()
+                   if (val := getattr(args, flag)) is not None})
+    runner = getattr(studies, args.study)
+    if args.sweep is None:
+        study = runner(**kwargs)
+    else:
+        values = [float(x) for x in args.values.split(",")] if args.values else args.sweep
+        study = runner(values, **kwargs)
     files = study_to_files(study, cfg.outdir, cfg)
+    target = f" (target {study.details['target']:g})" if "target" in study.details else ""
     for key, fit in study.fits.items():
-        print(f"{name}: {key}: {fit}")
+        print(f"{args.command}: {key}: {fit}{target}")
     for flag in study.flags:
         print(f"note: {flag}")
     print(f"wrote {files['csv']} and {files['json']}")
     return 0
-
-
-def cmd_relaxation(args) -> int:
-    return _study_command(
-        args, lambda v, **kw: studies.relaxation_study(v, **kw),
-        [0.2, 0.1, 0.05, 0.025], "relaxation")
-
-
-def cmd_df_limit(args) -> int:
-    return _study_command(
-        args, lambda v, **kw: studies.df_limit_study(v, **kw),
-        [0.2, 0.1, 0.05], "df-limit")
-
-
-def cmd_decay(args) -> int:
-    cfg, kwargs = _study_config(args)
-    study = studies.decay_study(sigma1=args.sigma1 if args.sigma1 is not None else -1.0,
-                                **kwargs)
-    files = study_to_files(study, cfg.outdir, cfg)
-    for key, fit in study.fits.items():
-        print(f"decay: {key}: {fit} (target {study.details['target']:g})")
-    for flag in study.flags:
-        print(f"note: {flag}")
-    print(f"wrote {files['csv']} and {files['json']}")
-    return 0
-
-
-def cmd_incompressible(args) -> int:
-    cfg, kwargs = _study_config(args)
-    values = [float(x) for x in args.values.split(",")] if args.values else [0.4, 0.2, 0.1, 0.05]
-    study = studies.incompressible_study(values, system=args.variant, **kwargs)
-    files = study_to_files(study, cfg.outdir, cfg)
-    for key, fit in study.fits.items():
-        print(f"incompressible: {key}: {fit}")
-    print(f"wrote {files['csv']} and {files['json']}")
-    return 0
-
-
-def cmd_linear(args) -> int:
-    cfg, _ = _load_config(args)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    checks = {
-        "oracle": acceptance.criterion_linear_oracle,
-        "kernel-shapes": acceptance.criterion_frequency_shapes,
-        "decay-sandwich": acceptance.criterion_decay_sandwich,
-    }
-    names = list(checks) if args.check == "all" else [args.check]
-    all_ok = True
-    payload = {}
-    for n in names:
-        res = checks[n]()
-        print(res.line())
-        payload[n] = {"passed": res.passed, "elapsed": res.elapsed,
-                      "details": _jsonable(res.details)}
-        all_ok &= res.passed
-    record_for(cfg, {"kind": "linear", "checks": payload}).write(outdir / "linear.json")
-    print(f"wrote {outdir}/linear.json")
-    return 0 if all_ok else 1
 
 
 def cmd_besov(args) -> int:
@@ -179,7 +134,7 @@ def cmd_verify(args) -> int:
     cfg, _ = _load_config(args)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = None if args.suite == "desk" else [args.suite]
+    names = None if args.suite == "desk" else args.suite.split(",")
     results = acceptance.run_suite(names)
     payload = {
         name: {"passed": r.passed, "elapsed": r.elapsed, "budget": r.budget,
@@ -200,6 +155,16 @@ _RUN_FLAGS = {"seed": int, "system": str, "dim": int, "npts": int, "length": flo
               "tau": float, "eps": float, "mu": float, "lam": float, "gamma": float,
               "amplitude": float, "dt": float, "horizon": float}
 _GRID_FLAGS = ("dim", "npts", "length")
+
+
+def _suite(text: str) -> str:
+    """--suite: 'desk', or a comma list of criterion names; anything else is
+    a usage error, raised before any criterion runs."""
+    known = [name for name, _ in acceptance.ALL_CRITERIA]
+    if text != "desk" and not set(text.split(",")) <= set(known):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is neither 'desk' nor a comma list of {', '.join(known)}")
+    return text
 
 
 def _add_config_flags(p, *names):
@@ -224,33 +189,31 @@ def build_parser():
     p.add_argument("--snapshot", action="store_true", help="store final-state snapshots")
     p.set_defaults(fn=cmd_simulate)
 
+    # each study subcommand: the studies function, its default sweep (None:
+    # the study takes no swept values) and the study kwargs its own flags set
     p = sub.add_parser("relaxation", help="friction-time sweep of the velocity mismatch")
     _add_config_flags(p, *_GRID_FLAGS, "dt", "horizon")
     p.add_argument("--values", help="comma-separated tau values")
-    p.set_defaults(fn=cmd_relaxation)
+    p.set_defaults(fn=cmd_study, study="relaxation_study", sweep=[0.2, 0.1, 0.05, 0.025],
+                   options={})
 
     p = sub.add_parser("df-limit", help="two-phase versus drift-flux error sweep")
     _add_config_flags(p, *_GRID_FLAGS, "dt", "horizon")
     p.add_argument("--values", help="comma-separated tau values")
-    p.set_defaults(fn=cmd_df_limit)
+    p.set_defaults(fn=cmd_study, study="df_limit_study", sweep=[0.2, 0.1, 0.05], options={})
 
     p = sub.add_parser("decay", help="large-time decay exponents on the torus")
     _add_config_flags(p, *_GRID_FLAGS, "dt")
     p.add_argument("--sigma1", type=float, help="low-frequency regularity index")
-    p.set_defaults(fn=cmd_decay)
+    p.set_defaults(fn=cmd_study, study="decay_study", sweep=None, options={"sigma1": "sigma1"})
 
     p = sub.add_parser("incompressible", help="Mach-number sweep of acoustic norms")
     _add_config_flags(p, *_GRID_FLAGS, "horizon")
     p.add_argument("--values", help="comma-separated eps values")
     p.add_argument("--variant", default="df_scaled",
                    choices=["df_scaled", "euler_ns_scaled"])
-    p.set_defaults(fn=cmd_incompressible)
-
-    p = sub.add_parser("linear", help="per-mode linear theory checks")
-    _add_config_flags(p)
-    p.add_argument("--check", default="all",
-                   choices=["all", "oracle", "kernel-shapes", "decay-sandwich"])
-    p.set_defaults(fn=cmd_linear)
+    p.set_defaults(fn=cmd_study, study="incompressible_study", sweep=[0.4, 0.2, 0.1, 0.05],
+                   options={"system": "variant"})
 
     p = sub.add_parser("besov", help="norms of a stored field snapshot")
     p.add_argument("snapshot", help="snapshot file")
@@ -260,8 +223,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the acceptance battery")
     _add_config_flags(p)
-    p.add_argument("--suite", default="desk",
-                   help="'desk' for everything, or one criterion name")
+    p.add_argument("--suite", default="desk", type=_suite,
+                   help="'desk' for everything, or comma-separated criterion names")
     p.set_defaults(fn=cmd_verify)
     return ap
 

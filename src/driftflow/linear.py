@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
-from .besov import block_j_range, phi as lp_phi
+from .besov import block_j_range, dyadic_sum, phi as lp_phi
 from .errors import QuadratureNotConverged
 
 _DEG_RELGAP = 1e-6      # closed form requires |lambda2-lambda3| > 1e-6 * xi^2
@@ -367,12 +367,10 @@ def continuum_linear_norms(
     j_min, j_max = block_j_range(r_lo, r_hi)
     js = np.arange(j_min, j_max + 1)
     blocks = continuum_block_l2(init, t, d, tau, mu, lam, js, r_lo, r_hi)
-    w_s = 2.0 ** (js * sigma)
-    w_s1 = 2.0 ** (js * sigma1)
     out = {}
     for name in ("u", "a", "v", "rel"):
-        out[f"{name}_B{sigma}_21"] = float(np.sum(w_s * blocks[name]))
-        out[f"{name}_B{sigma1}_2inf"] = float(np.max(w_s1 * blocks[name]))
+        out[f"{name}_B{sigma}_21"] = float(dyadic_sum(blocks[name], js, sigma))
+        out[f"{name}_B{sigma1}_2inf"] = float(dyadic_sum(blocks[name], js, sigma1, np.inf))
     out["uav_B_21"] = out[f"u_B{sigma}_21"] + out[f"a_B{sigma}_21"] + out[f"v_B{sigma}_21"]
     return out
 

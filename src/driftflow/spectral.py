@@ -368,17 +368,14 @@ def mean(f: SpectralField):
     return np.real(f.zero_mode())
 
 
-def multiply(a: SpectralField, b: SpectralField, dealias_result: bool = True) -> SpectralField:
+def multiply(a: SpectralField, b: SpectralField) -> SpectralField:
     """Pointwise product computed in physical space, then dealiased."""
-    pa, pb = to_physical(a), to_physical(b)
-    out = from_physical(a.grid, pa * pb)
-    return dealias(out) if dealias_result else out
+    return dealias(from_physical(a.grid, to_physical(a) * to_physical(b)))
 
 
-def pointwise(grid: Grid, values: np.ndarray, dealias_result: bool = True) -> SpectralField:
-    """Wrap physical samples of a (composite) nonlinearity as a field."""
-    out = from_physical(grid, values)
-    return dealias(out) if dealias_result else out
+def pointwise(grid: Grid, values: np.ndarray) -> SpectralField:
+    """Wrap physical samples of a (composite) nonlinearity as a dealiased field."""
+    return dealias(from_physical(grid, values))
 
 
 # ---------------------------------------------------------------------------

@@ -333,7 +333,6 @@ def decay_study(
     mu: float = 0.65,
     lam: float = 0.7,
     sigma: float | None = None,
-    include_linear_tier: bool = True,
 ) -> StudyResult:
     """
     Nonlinear decay measurement on the torus over the pre-saturation window,
@@ -401,14 +400,13 @@ def decay_study(
         fits["profile_exponent"] = fit_decay_exponent(ts[in_win][:-1], pd[:-1])
         if grid.dim == 2:
             flags.append("beyond-theorem: terminal-profile rate outside its dimension range")
-    if include_linear_tier:
-        tier = linear_decay_tier(sigma1, [sigma], d=grid.dim, tau=tau, n_t=20)[sigma]
-        details["linear_tier"] = {
-            "exponent": tier["exponent_state"].slope,
-            "relative_exponent": tier["exponent_relative"].slope,
-            "target": tier["target"],
-            "sandwich_ratio": tier["sandwich_ratio"],
-        }
+    tier = linear_decay_tier(sigma1, [sigma], d=grid.dim, tau=tau, n_t=20)[sigma]
+    details["linear_tier"] = {
+        "exponent": tier["exponent_state"].slope,
+        "relative_exponent": tier["exponent_relative"].slope,
+        "target": tier["target"],
+        "sandwich_ratio": tier["sandwich_ratio"],
+    }
     return StudyResult("decay", "t", ts.tolist(), meas, fits, flags, details)
 
 

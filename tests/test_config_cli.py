@@ -98,6 +98,8 @@ class TestCLI:
         ["verify", "--tau", "0.1"],
         ["decay", "--horizon", "5"],
         ["incompressible", "--dt", "0.01"],
+        ["verify", "--suite", "linear_oracel"],
+        ["verify", "--suite", "linear_oracle,"],
     ])
     def test_unread_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -131,12 +133,6 @@ class TestCLI:
         val = float(out.strip().split()[-1])
         assert abs(val - expected) < 1e-9 * expected
 
-    def test_linear_check_subcommand(self, tmp_path):
-        rc = main(["linear", "--check", "oracle", "--outdir", str(tmp_path)])
-        assert rc == 0
-        body = json.loads((tmp_path / "linear.json").read_text())
-        assert body["payload"]["checks"]["oracle"]["passed"]
-
     def test_error_exit_is_machine_readable(self, tmp_path, capsys):
         missing = tmp_path / "nope.dfs"
         missing.write_bytes(b"XXXXgarbage" + b"\0" * 64)
@@ -167,15 +163,19 @@ class TestCLI:
         assert body["error"] == "FormatVersionMismatch"
 
 
-def test_linear_all_checks_serialize(tmp_path):
-    # criterion details carry nested per-band tables; the JSON record must
-    # accept them (regression: mixed-type dict keys broke sorting)
-    from driftflow.cli import main as cli_main
-
-    rc = cli_main(["linear", "--check", "kernel-shapes", "--outdir", str(tmp_path)])
+def test_verify_suite_list_runs_in_table_order(tmp_path, capsys):
+    # a comma list runs exactly the named criteria, in table order; the
+    # kernel-shape details carry nested per-band tables, which the JSON record
+    # must accept (regression: mixed-type dict keys broke sorting)
+    rc = main(["verify", "--suite", "frequency_shapes,linear_oracle", "--outdir", str(tmp_path)])
     assert rc == 0
-    body = json.loads((tmp_path / "linear.json").read_text())
-    assert body["payload"]["checks"]["kernel-shapes"]["passed"]
+    verdicts = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
+    assert [ln.split("  (")[0] for ln in verdicts] == [
+        "[PASS] linear oracle equivalence", "[PASS] frequency-localized kernel shapes"]
+    results = json.loads((tmp_path / "verify.json").read_text())["payload"]["results"]
+    assert set(results) == {"linear_oracle", "frequency_shapes", "verdict"}
+    assert results["verdict"] == "pass"
+    assert results["frequency_shapes"]["details"]["high"]["tau_0.1"]["R"] > 0
 
 
 # subcommand -> (study function, the study kwargs its flags map to)
@@ -185,6 +185,17 @@ STUDY_FLAGS = {
     "decay": ("decay_study", {"grid", "dt"}),
     "incompressible": ("incompressible_study", {"grid", "T"}),
 }
+
+
+@pytest.mark.parametrize("command", sorted(STUDY_FLAGS))
+def test_study_prints_its_notes(command, tmp_path, monkeypatch, capsys):
+    from driftflow import studies
+
+    flag = "two-dimensional exponent family"
+    monkeypatch.setattr(studies, STUDY_FLAGS[command][0], lambda *a, **kw: studies.StudyResult(
+        command, "p", [], {}, {}, [flag]))
+    assert main([command, "--outdir", str(tmp_path)]) == 0
+    assert f"note: {flag}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", sorted(STUDY_FLAGS))
