@@ -129,7 +129,11 @@ class RunConfig:
         return Scheme(dt=self.dt, cfl_safety=self.cfl_safety)
 
     def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        """Every field but ``outdir``, which names where results go, not what
+        they are."""
+        body = asdict(self)
+        del body["outdir"]
+        return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]

@@ -22,7 +22,7 @@ from .besov import BlockTimeSeries, block_lp_spectrum, family_for
 from .errors import Diverged, DriftflowError, StepRejected
 from .linear import green_acoustic, green_compressible, green_incompressible
 from .spectral import Grid, PhysParams, SpectralField, parseval_sum, to_physical
-from .systems import system_spec
+from .systems import _dot, system_spec
 
 # the guard in ``integrate`` stops a run whose amplitude grows by this factor
 DIVERGENCE_FACTOR = 1e3
@@ -72,13 +72,12 @@ def _with(state, **new):
                           for k, f in state.fields().items()})
 
 
-def state_lincomb(a: float, x, b: float = 0.0, y=None):
-    """a*x + b*y on all fields of a state."""
-    xs = x.fields().values()
-    if y is None:
-        return _rebuild(x, [a * f.coeffs for f in xs])
-    ys = y.fields().values()
-    return _rebuild(x, [a * fx.coeffs + b * fy.coeffs for fx, fy in zip(xs, ys)])
+def state_axpy(x, b: float, y):
+    """x + b*y on all fields of a state, with one temporary per field."""
+    out = [b * f.coeffs for f in y.fields().values()]
+    for c, fx in zip(out, x.fields().values()):
+        c += fx.coeffs
+    return _rebuild(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -149,31 +148,48 @@ def precompute_mode_propagators(
     return tab
 
 
-def _split_parallel(grid: Grid, vec: np.ndarray):
-    s = np.sum(grid.ehat * vec, axis=0)
-    perp = vec - grid.ehat * s[np.newaxis]
-    return s, perp
+def _recombine(grid: Grid, along: np.ndarray, tmp: np.ndarray, *terms) -> np.ndarray:
+    """e*along + the sum of diag*vec over the (diag, vec) terms, per
+    component; ``tmp`` is scratch of a scalar's shape."""
+    out = np.empty((grid.dim,) + along.shape, dtype=np.complex128)
+    for i in range(grid.dim):
+        np.multiply(grid.ehat[i], along, out=out[i])
+        for diag, vec in terms:
+            out[i] += np.multiply(diag, vec[i], out=tmp)
+    return out
 
 
 def apply_propagator(tab: ModePropagatorTable, state):
-    """One exact linear step; pure per-mode arithmetic, no transforms."""
+    """One exact linear step; pure per-mode arithmetic, no transforms.  Each
+    velocity is projected once on e = xi/|xi| and rebuilt in one pass, the
+    solenoidal block acting on the whole vector (README, "Numerical notes"):
+
+        v' = p11 v + e (g21 a + (g22 - p11) e.v),
+        u' = p00 u + p01 v + e (g01 a + (g00 - p00) e.u + (g02 - p01) e.v).
+    """
     g = tab.grid
     spec = system_spec(tab.system)
     if spec.c is None:  # incompressible transport: heat flow of w alone
         return _with(state, w=SpectralField(g, tab.p11 * state.w.coeffs))
 
-    sv, vperp = _split_parallel(g, state.v.coeffs)
-    a = state.a.coeffs
-    new = {
-        "a": SpectralField(g, tab.g11 * a + tab.g12 * sv),
-        "v": SpectralField(g, g.ehat * (tab.g21 * a + tab.g22 * sv)[np.newaxis]
-                           + tab.p11 * vperp),
-    }
+    a, v = state.a.coeffs, state.v.coeffs
+    sv = _dot(g.ehat, v)
+    tmp = np.empty_like(sv)
+    a_new = tab.g11 * a
+    a_new += np.multiply(tab.g12, sv, out=tmp)
+    along = tab.g22 - tab.p11
+    along *= sv
+    along += np.multiply(tab.g21, a, out=tmp)
+    new = {"a": SpectralField(g, a_new),
+           "v": SpectralField(g, _recombine(g, along, tmp, (tab.p11, v)))}
     if spec.has_drag:
-        su, uperp = _split_parallel(g, state.u.coeffs)
-        su_new = tab.g00 * su + tab.g01 * a + tab.g02 * sv
-        uperp_new = tab.p00 * uperp + tab.p01 * vperp
-        new["u"] = SpectralField(g, g.ehat * su_new[np.newaxis] + uperp_new)
+        u = state.u.coeffs
+        along = tab.g00 - tab.p00
+        along *= _dot(g.ehat, u)
+        along += np.multiply(tab.g01, a, out=tmp)
+        np.subtract(tab.g02, tab.p01, out=tmp)
+        along += np.multiply(tmp, sv, out=tmp)
+        new["u"] = SpectralField(g, _recombine(g, along, tmp, (tab.p00, u), (tab.p01, v)))
     return _with(state, **new)
 
 
@@ -204,22 +220,19 @@ def apply_resolvent(tab: ResolventTable, state):
     # acoustic block: solve  a + i*alpha*c*xi*sv = b_a ;
     #                        sv*(1 + alpha*nu*xi^2) + i*alpha*c*xi*a = b_sv
     c = spec.c(params)
-    kmag = g.kmag
     det = 1.0 + alpha * params.nu * g.k2 + alpha**2 * c**2 * g.k2
-    sv, vperp = _split_parallel(g, state.v.coeffs)
+    v = state.v.coeffs
+    sv = _dot(g.ehat, v)
     a = state.a.coeffs
-    sv_new = (sv - 1j * alpha * c * kmag * a) / det
-    vperp_new = vperp / heat
-    new = {
-        "a": SpectralField(g, a - 1j * alpha * c * kmag * sv_new),
-        "v": SpectralField(g, g.ehat * sv_new[np.newaxis] + vperp_new),
-    }
+    sv_new = (sv - 1j * alpha * c * g.kmag * a) / det
+    # v' = e sv' + v_perp/heat
+    v_new = _recombine(g, sv_new - sv / heat, np.empty_like(sv), (1.0 / heat, v))
+    new = {"a": SpectralField(g, a - 1j * alpha * c * g.kmag * sv_new),
+           "v": SpectralField(g, v_new)}
     if spec.has_drag:
-        kappa = spec.kappa(params)
-        su, uperp = _split_parallel(g, state.u.coeffs)
-        su_new = (su + alpha * kappa * sv_new) / (1.0 + alpha * kappa)
-        uperp_new = (uperp + alpha * kappa * vperp_new) / (1.0 + alpha * kappa)
-        new["u"] = SpectralField(g, g.ehat * su_new[np.newaxis] + uperp_new)
+        # both parts of u relax to those of v': u' = (u + alpha kappa v')/(1 + alpha kappa)
+        ak = alpha * spec.kappa(params)
+        new["u"] = SpectralField(g, (state.u.coeffs + ak * v_new) / (1.0 + ak))
     return _with(state, **new)
 
 
@@ -240,15 +253,15 @@ class Stepper:
 
     def _nl(self, state):
         if self.scheme.linear_only:
-            return state_lincomb(0.0, state)
+            return _rebuild(state, [np.zeros_like(f.coeffs) for f in state.fields().values()])
         return nonlinear_rhs(self.system, state, self.params)
 
     def step(self, state):
         dt = self.dt
-        mid = apply_propagator(self.e_half, state_lincomb(1.0, state, 0.5 * dt, self._nl(state)))
+        mid = apply_propagator(self.e_half, state_axpy(state, 0.5 * dt, self._nl(state)))
         k2 = self._nl(mid)
         half = apply_propagator(self.e_half, state)
-        return apply_propagator(self.e_half, state_lincomb(1.0, half, dt, k2))
+        return apply_propagator(self.e_half, state_axpy(half, dt, k2))
 
 
 # ---------------------------------------------------------------------------

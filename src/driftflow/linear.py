@@ -271,13 +271,6 @@ def _gauss(n: int):
     return roots_legendre(n)
 
 
-def _block_integral(fn, r_lo: float, r_hi: float, n: int) -> np.ndarray:
-    """Gauss-Legendre integral of a vector-valued radial function."""
-    x, w = _gauss(n)
-    r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
-    return 0.5 * (r_hi - r_lo) * fn(r) @ w
-
-
 def _sphere_area(d: int) -> float:
     return 2.0 * np.pi if d == 2 else 4.0 * np.pi
 
@@ -300,6 +293,8 @@ def continuum_block_l2(
 
     Each dyadic annulus is integrated with Gauss-Legendre nodes, doubled
     until the result is stable to ``rtol`` (QuadratureNotConverged otherwise).
+    At each level one integrand call covers the nodes of every annulus that
+    has not yet converged.
     """
     kappa = 1.0 / tau
     nu = 2.0 * mu + lam
@@ -322,28 +317,33 @@ def continuum_block_l2(
         rel2 = np.abs(phi_t - psi_t) ** 2 + np.abs(Phi_t - Psi_t) ** 2
         return np.stack([u2, a2, v2, rel2]) * r ** (d - 1)
 
-    out = np.zeros((4, len(js)))
+    todo = []  # the open annuli: column, bounds and 2^j
     for col, j in enumerate(js):
-        lo = max(0.75 * 2.0**j, r_lo)
-        hi = min(8.0 / 3.0 * 2.0**j, r_hi)
-        if lo >= hi:
-            continue
-
-        def weighted(r, _j=j):
-            return integrand(r) * lp_phi(r / 2.0**_j) ** 2
-
-        prev = None
-        for n in (64, 128, 256, 512, 1024, 2048):
-            val = _block_integral(weighted, lo, hi, n)
-            if prev is not None:
-                scale = max(float(np.max(np.abs(val))), 1e-300)
-                if float(np.max(np.abs(val - prev))) <= rtol * scale:
-                    prev = val
-                    break
-            prev = val
-        else:
-            raise QuadratureNotConverged(f"block j={j} at t={t}")
-        out[:, col] = np.sqrt(np.maximum(pref * prev.real, 0.0))
+        lo, hi = max(0.75 * 2.0**j, r_lo), min(8.0 / 3.0 * 2.0**j, r_hi)
+        if lo < hi:
+            todo.append((col, lo, hi, 2.0**j))
+    prev = {}
+    out = np.zeros((4, len(js)))
+    for n in (64, 128, 256, 512, 1024, 2048):
+        if not todo:
+            break
+        x, w = _gauss(n)
+        r = np.concatenate([0.5 * (hi - lo) * x + 0.5 * (hi + lo) for _, lo, hi, _ in todo])
+        scale = np.repeat([s for *_, s in todo], n)
+        vals = (integrand(r) * lp_phi(r / scale) ** 2).reshape(4, len(todo), n)
+        still = []
+        for b, (col, lo, hi, s) in enumerate(todo):
+            val = 0.5 * (hi - lo) * vals[:, b] @ w
+            if col in prev:
+                tol = rtol * max(float(np.max(np.abs(val))), 1e-300)
+                if float(np.max(np.abs(val - prev[col]))) <= tol:
+                    out[:, col] = np.sqrt(np.maximum(pref * val.real, 0.0))
+                    continue
+            prev[col] = val
+            still.append((col, lo, hi, s))
+        todo = still
+    if todo:
+        raise QuadratureNotConverged(f"block j={js[todo[0][0]]} at t={t}")
     return {"u": out[0], "a": out[1], "v": out[2], "rel": out[3]}
 
 

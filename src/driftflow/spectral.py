@@ -306,13 +306,6 @@ def laplacian(f: SpectralField) -> SpectralField:
     return apply_derivative(f, "laplacian")
 
 
-def grad_div(f: SpectralField) -> SpectralField:
-    """Multiplier -xi (xi . ), i.e. grad(div(.)) for vector fields."""
-    g = f.grid
-    kdotf = np.sum(g.kvec * f.coeffs, axis=0)
-    return SpectralField(g, -g.kvec * kdotf[np.newaxis])
-
-
 def leray_project(f: SpectralField) -> tuple[SpectralField, SpectralField]:
     """
     Split a vector field into solenoidal and potential parts, f = p + q.

@@ -373,8 +373,10 @@ def decay_study(
 
     # distance to the terminal density profile: || int_t^T div(rho u) ds ||,
     # the trapezoid increments summed backwards from the final time
-    flux = np.stack(traj.fields["div_rho_u"])
-    tails = flux[1:] + flux[:-1]
+    flux = traj.fields["div_rho_u"]
+    tails = np.empty((len(flux) - 1,) + flux[0].shape, dtype=flux[0].dtype)
+    for i, seg in enumerate(tails):
+        np.add(flux[i + 1], flux[i], out=seg)
     tails *= 0.5 * np.diff(ts).reshape((-1,) + (1,) * grid.dim)
     np.cumsum(tails[::-1], axis=0, out=tails[::-1])
     tail_norms = np.array([besov_norm(SpectralField(grid, seg), s=0.0) for seg in tails] + [0.0])

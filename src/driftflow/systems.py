@@ -23,7 +23,9 @@ the pressure coefficients
 are closed-form.  Composite nonlinearities are evaluated pointwise on the
 physical grid, transformed, and dealiased once.  Advection of a velocity
 takes the rotational form (v.grad)v = grad(|v|^2/2) - v x curl v, whose
-gradient term is added per mode (``_advection``).
+gradient term is added per mode (``_advection``).  The rhs are assembled
+in arrays they allocate themselves, each operation in the order of the
+plain expression of its term, so the result is that expression's to the bit.
 
 Every rhs takes ``include_linear``: with False it returns only the part
 complementary to the constant-coefficient symbol that an exponential
@@ -47,10 +49,8 @@ from .spectral import (
     div,
     from_physical,
     grad,
-    grad_div,
     l2_norm,
     laplacian,
-    leray_project,
     pointwise,
     to_physical,
 )
@@ -134,19 +134,21 @@ class StateTNS(_State):
 # helpers
 
 
-def _lamb(vel_ph: np.ndarray, vel: SpectralField) -> np.ndarray:
-    """The samples of vel x curl(vel); in 2D curl(vel) is the scalar w and
-    vel x w = (v2 w, -v1 w)."""
+def _lamb(vel_ph: np.ndarray, vel: SpectralField, out: np.ndarray) -> np.ndarray:
+    """Add the samples of vel x curl(vel) to ``out``; in 2D curl(vel) is the
+    scalar w and vel x w = (v2 w, -v1 w)."""
     w = to_physical(curl(vel))
-    out = np.empty_like(vel_ph)
+    tmp = np.empty_like(vel_ph[0])
     if vel.grid.dim == 2:
-        np.multiply(vel_ph[1], w, out=out[0])
-        np.multiply(vel_ph[0], -w, out=out[1])
+        out[0] += np.multiply(vel_ph[1], w, out=tmp)
+        out[1] -= np.multiply(vel_ph[0], w, out=tmp)
         return out
+    tmp2 = np.empty_like(tmp)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        np.multiply(vel_ph[j], w[k], out=out[i])
-        out[i] -= vel_ph[k] * w[j]
+        np.multiply(vel_ph[j], w[k], out=tmp)
+        tmp -= np.multiply(vel_ph[k], w[j], out=tmp2)
+        out[i] += tmp
     return out
 
 
@@ -157,27 +159,37 @@ def _advection(vel: SpectralField, vel_ph: np.ndarray, rest_ph: np.ndarray | Non
 
         -(v.grad)v = v x curl v - grad(|v|^2/2):
 
-    the samples of v x curl v and of ``rest_ph`` share one transform, and
-    the gradient of |v|^2/2 is subtracted per mode.  ``gradient=False``
-    leaves it out, for a caller whose Leray projection removes it anyway.
+    the samples of v x curl v are added into ``rest_ph`` (which is
+    overwritten) and share its transform, and the gradient of |v|^2/2 is
+    subtracted per mode.  ``gradient=False`` leaves it out, for a caller
+    whose Leray projection removes it anyway.
     """
     g = vel.grid
-    phys = _lamb(vel_ph, vel)
-    if rest_ph is not None:
-        phys += rest_ph
+    phys = _lamb(vel_ph, vel, np.zeros_like(vel_ph) if rest_ph is None else rest_ph)
     out = from_physical(g, phys).coeffs
     if gradient:
         energy = from_physical(g, 0.5 * np.einsum("i...,i...->...", vel_ph, vel_ph)).coeffs
+        tmp = np.empty_like(energy)
         for i in range(g.dim):
-            out[i] -= g.ikvec[i] * energy
+            out[i] -= np.multiply(g.ikvec[i], energy, out=tmp)
     out *= g.dealias_keep
     return SpectralField(g, out)
 
 
-def _div_flux(grid: Grid, dens_ph: np.ndarray, vel_ph: np.ndarray) -> SpectralField:
-    """div(dens * vel) in divergence form: exact zero mean."""
-    flux = pointwise(grid, dens_ph[np.newaxis] * vel_ph)
-    return div(flux)
+def _dot(w: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """sum_i w_i vec_i per mode, for a per-mode vector w (xi, i xi or e = xi/|xi|)."""
+    s = w[0] * vec[0]
+    tmp = np.empty_like(s)
+    for i in range(1, len(w)):
+        s += np.multiply(w[i], vec[i], out=tmp)
+    return s
+
+
+def _transport(grid: Grid, dens_ph: np.ndarray, vel_ph: np.ndarray) -> SpectralField:
+    """-div(dens * vel), dealiased, in divergence form: exact zero mean."""
+    out = _dot(grid.ikvec, from_physical(grid, np.multiply(dens_ph, vel_ph)).coeffs)
+    out *= grid.dealias_keep
+    return SpectralField(grid, np.negative(out, out=out))
 
 
 def _gas_density(a_ph: np.ndarray, eps: float) -> np.ndarray:
@@ -197,17 +209,50 @@ def _mixture(rho_ph: np.ndarray, a_ph: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _visc(v: SpectralField, mu: float, lam: float) -> SpectralField:
-    return mu * laplacian(v) + (mu + lam) * grad_div(v)
+    """mu lap v + (mu+lam) grad div v = -mu |xi|^2 v - (mu+lam) xi (xi.v) per mode."""
+    g = v.grid
+    kdot = _dot(g.kvec, v.coeffs)
+    out = np.multiply(g.k2, v.coeffs)
+    out *= -mu
+    tmp = np.empty_like(kdot)
+    for i in range(g.dim):
+        np.multiply(g.kvec[i], kdot, out=tmp)
+        tmp *= -(mu + lam)
+        out[i] += tmp
+    return SpectralField(g, out)
 
 
 def _pressure_slope_ratio(x: np.ndarray, gamma: float) -> np.ndarray:
-    """(P'(1+x) - 1)/x, smoothly completed with value gamma-1 at x = 0."""
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-8
-    out[small] = (gamma - 1.0) + 0.5 * (gamma - 1.0) * (gamma - 2.0) * x[small]
-    xb = x[~small]
-    out[~small] = ((1.0 + xb) ** (gamma - 1.0) - 1.0) / xb
+    """(P'(1+x) - 1)/x, smoothly completed with value gamma-1 at x = 0: its
+    series where |x| < 1e-8, the quotient elsewhere; NaN in gives NaN out."""
+    out = 0.5 * (gamma - 1.0) * (gamma - 2.0) * x
+    out += gamma - 1.0
+    num = 1.0 + x
+    num **= gamma - 1.0
+    num -= 1.0
+    np.divide(num, x, out=out, where=np.abs(x) >= 1e-8)
     return out
+
+
+def _pressure_and_viscous(state, a_ph: np.ndarray, rho_ph: np.ndarray | None, m_ph: np.ndarray,
+                          eps: float, params: PhysParams):
+    """-((pr - rho - a)/m) grad a + (1/m - 1) visc, with pr = a*ratio(eps a)
+    and rho = 0 for None, and the viscous term."""
+    coef = _pressure_slope_ratio(eps * a_ph, params.gamma)
+    coef *= a_ph
+    if rho_ph is not None:
+        coef -= rho_ph
+    np.subtract(a_ph, coef, out=coef)
+    coef /= m_ph
+    rest = to_physical(grad(state.a))
+    rest *= coef
+    visc_v = _visc(state.v, params.mu, params.lam)
+    visc_ph = to_physical(visc_v)
+    np.divide(1.0, m_ph, out=coef)
+    coef -= 1.0
+    visc_ph *= coef
+    rest += visc_ph
+    return rest, visc_v
 
 
 # ---------------------------------------------------------------------------
@@ -229,31 +274,27 @@ def rhs_euler_ns_scaled(
                + (mu lap v + (mu+lam) grad div v)/n + rho (u - v)/(tau n)
     """
     g = state.grid
-    mu, lam, gamma = params.mu, params.lam, params.gamma
-    kappa = 1.0 / (eps * tau)
     rho_ph = to_physical(state.rho)
     u_ph = to_physical(state.u)
     v_ph = to_physical(state.v)
     a_ph = to_physical(state.a)
     m_ph = _gas_density(a_ph, eps)
 
-    drho = -1.0 * _div_flux(g, rho_ph, u_ph)
+    drho = _transport(g, rho_ph, u_ph)
     du = _advection(state.u, u_ph)
-    da = -1.0 * _div_flux(g, a_ph, v_ph)
+    da = _transport(g, a_ph, v_ph)
 
-    grad_a_ph = to_physical(grad(state.a))
-    visc_v = _visc(state.v, mu, lam)
-    visc_ph = to_physical(visc_v)
-    pr = a_ph * _pressure_slope_ratio(eps * a_ph, gamma)
-    rel_ph = u_ph - v_ph
-    drag_v = rho_ph * rel_ph / (tau * m_ph)
-    dv = _advection(
-        state.v, v_ph,
-        -((pr - a_ph) / m_ph) * grad_a_ph + (1.0 / m_ph - 1.0) * visc_ph + drag_v,
-    )
+    # rest of dv/dt: -((pr - a)/m) grad a + (1/m - 1) visc + rho (u - v)/(tau m)
+    rest, visc_v = _pressure_and_viscous(state, a_ph, None, m_ph, eps, params)
+    drag = np.subtract(u_ph, v_ph)
+    drag *= rho_ph
+    m_ph *= tau
+    drag /= m_ph
+    rest += drag
+    dv = _advection(state.v, v_ph, rest)
 
     if include_linear:
-        du = SpectralField(g, du.coeffs - kappa * (state.u.coeffs - state.v.coeffs))
+        du = SpectralField(g, du.coeffs - (1.0 / (eps * tau)) * (state.u.coeffs - state.v.coeffs))
         da = da - (1.0 / eps) * div(state.v)
         dv = SpectralField(g, dv.coeffs - grad(state.a).coeffs / eps + visc_v.coeffs)
     return StateEulerNS(drho, du, da, dv)
@@ -285,21 +326,17 @@ def rhs_df_scaled(state: StateDF, eps: float, params: PhysParams, include_linear
     (a*(P'(1+eps a)-1)/(eps a) - rho - a) / (1 + eps(rho+a)).
     """
     g = state.grid
-    mu, lam, gamma = params.mu, params.lam, params.gamma
     rho_ph = to_physical(state.rho)
     a_ph = to_physical(state.a)
     v_ph = to_physical(state.v)
     m_ph = _mixture(rho_ph, a_ph, eps)
 
-    drho = -1.0 * _div_flux(g, rho_ph, v_ph)
-    da = -1.0 * _div_flux(g, a_ph, v_ph)
+    drho = _transport(g, rho_ph, v_ph)
+    da = _transport(g, a_ph, v_ph)
 
-    grad_a_ph = to_physical(grad(state.a))
-    visc_v = _visc(state.v, mu, lam)
-    visc_ph = to_physical(visc_v)
-    pr = a_ph * _pressure_slope_ratio(eps * a_ph, gamma)
-    dv = _advection(
-        state.v, v_ph, -((pr - rho_ph - a_ph) / m_ph) * grad_a_ph + (1.0 / m_ph - 1.0) * visc_ph)
+    # rest of dv/dt: -((pr - rho - a)/m) grad a + (1/m - 1) visc
+    rest, visc_v = _pressure_and_viscous(state, a_ph, rho_ph, m_ph, eps, params)
+    dv = _advection(state.v, v_ph, rest)
 
     if include_linear:
         da = da - (1.0 / eps) * div(state.v)
@@ -330,10 +367,12 @@ def rhs_tns(state: StateTNS, params: PhysParams, include_linear: bool = True) ->
     """
     g = state.grid
     w_ph = to_physical(state.w)
-    varrho_ph = to_physical(state.varrho)
-    dvarrho = -1.0 * _div_flux(g, varrho_ph, w_ph)
-    # the projection removes the gradient part of the rotational form per mode
-    dw, _ = leray_project(_advection(state.w, w_ph, gradient=False))
+    dvarrho = _transport(g, to_physical(state.varrho), w_ph)
+    dw = _advection(state.w, w_ph, gradient=False)
+    # the Leray projection, in place, removes the rotational form's gradient part
+    along = _dot(g.ehat, dw.coeffs)
+    for i in range(g.dim):
+        dw.coeffs[i] -= g.ehat[i] * along
     if include_linear:
         dw = SpectralField(g, dw.coeffs + params.mu * laplacian(state.w).coeffs)
     return StateTNS(dvarrho, dw)

@@ -52,6 +52,9 @@ class TestRunConfig:
     def test_hash_sensitive_to_values(self):
         assert RunConfig(tau=0.1).config_hash() != RunConfig(tau=0.2).config_hash()
 
+    def test_hash_ignores_the_output_directory(self):
+        assert RunConfig(outdir="a").config_hash() == RunConfig(outdir="b").config_hash()
+
 
 class TestPersistence:
     def test_csv_roundtrip_full_precision(self, tmp_path):

@@ -9,16 +9,20 @@ from driftflow.initial_data import DataRecipe, euler_ns_state, initial_state
 from driftflow.integrate import (
     VALIDATE_EVERY,
     BlockObserver,
+    ResolventTable,
     ScalarObserver,
     Scheme,
     Stepper,
     apply_propagator,
+    apply_resolvent,
     integrate,
     precompute_mode_propagators,
 )
 from driftflow.linear import green_acoustic, green_compressible, green_incompressible, propagator
 from driftflow.spectral import Grid, PhysParams, SpectralField, from_physical, l2_norm, to_physical
-from driftflow.systems import StateEulerNS, StateTNS, system_spec
+from driftflow.systems import SYSTEMS, StateEulerNS, StateTNS, system_spec
+
+from oracles import apply_propagator_split, linear_rhs_euler_ns
 
 GRID = Grid(2, 32, 4.0 * np.pi)
 PAR = PhysParams(tau=0.2, mu=1.0, lam=-0.5)
@@ -26,6 +30,10 @@ PAR = PhysParams(tau=0.2, mu=1.0, lam=-0.5)
 
 def state_distance(a, b):
     return max(l2_norm(fa - fb) for fa, fb in zip(a.fields().values(), b.fields().values()))
+
+
+def state_bytes(state):
+    return {k: f.coeffs.tobytes() for k, f in state.fields().items()}
 
 
 def zero_state(grid=GRID, rho_bar=0.3):
@@ -91,6 +99,39 @@ class TestPropagatorTable:
         two = apply_propagator(half, apply_propagator(half, state))
         one = apply_propagator(full, state)
         assert state_distance(two, one) < 1e-10
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(system=strategies.sampled_from(list(SYSTEMS)),
+           grid=strategies.sampled_from([GRID, Grid(3, 12, 3.0)]),
+           dt=strategies.floats(1e-3, 2.0), eps=strategies.sampled_from([1.0, 0.3]),
+           seed=strategies.integers(0, 2**16))
+    def test_combined_apply_equals_split_form(self, system, grid, dt, eps, seed):
+        par = PhysParams(tau=0.2, eps=eps, mu=0.7, lam=0.1)
+        state = initial_state(system, grid, DataRecipe(seed=seed, amplitude=0.04))
+        tab = precompute_mode_propagators(grid, par, dt, system)
+        before = state_bytes(state)
+        table = {k: v.tobytes() for k, v in vars(tab).items() if isinstance(v, np.ndarray)}
+        got, want = apply_propagator(tab, state), apply_propagator_split(tab, state)
+        for name, w in want.fields().items():
+            scale = max(float(np.max(np.abs(w.coeffs))), 1e-300)
+            assert np.max(np.abs(got.fields()[name].coeffs - w.coeffs)) <= 1e-14 * scale, name
+        assert state_bytes(state) == before
+        assert table == {k: v.tobytes() for k, v in vars(tab).items()
+                         if isinstance(v, np.ndarray)}
+
+    @pytest.mark.parametrize("grid", [GRID, Grid(3, 12, 3.0)])
+    def test_resolvent_inverts_the_linear_symbol(self, grid):
+        # x = (I - alpha L)^{-1} b solves x - alpha L x = b
+        alpha = 0.37
+        b = euler_ns_state(grid, DataRecipe(seed=4, amplitude=0.05))
+        before = state_bytes(b)
+        x = apply_resolvent(ResolventTable("euler_ns", grid, alpha, PAR), b)
+        lx = linear_rhs_euler_ns(x, PAR)
+        for name, fb in b.fields().items():
+            back = x.fields()[name].coeffs - alpha * lx.fields()[name].coeffs
+            assert np.max(np.abs(back - fb.coeffs)) <= 1e-14 * np.max(np.abs(fb.coeffs)), name
+        assert state_bytes(b) == before
 
 
 class TestStep:

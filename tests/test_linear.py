@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from driftflow.besov import block_j_range
 from driftflow.errors import QuadratureNotConverged
 from driftflow.linear import (
     RadialInit,
@@ -19,7 +20,7 @@ from driftflow.linear import (
 )
 from driftflow.studies import fit_decay_exponent
 
-from oracles import expm_scaled_squared
+from oracles import continuum_block_l2_loop, expm_scaled_squared
 
 
 def random_samples(rng, n=40):
@@ -222,3 +223,17 @@ class TestMismatchScaling:
             vals[tau] = n["rel_B0.5_21"]
         ratio = vals[0.1] / vals[0.05]
         assert 1.6 < ratio < 2.4
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_quadrature_equals_the_block_loop(d):
+    # one integrand call per Gauss level gives the per-block loop's norms bit for bit
+    init = RadialInit(a0=power_law_profile(1.0 - d / 2.0), psi0=power_law_profile(0.5),
+                      Phi0=cutoff_profile)
+    j_min, j_max = block_j_range(1e-4, 64.0)
+    js = np.arange(j_min, j_max + 1)
+    for t in (0.0, 0.3, 10.0, 300.0):
+        got = continuum_block_l2(init, t, d, 0.2, 1.0, -1.0, js)
+        want = continuum_block_l2_loop(init, t, d, 0.2, 1.0, -1.0, js)
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from driftflow.errors import DegenerateMixture, NonFiniteField, VacuumGas
-from driftflow.initial_data import DataRecipe, df_state, euler_ns_state, tns_state
+from driftflow.initial_data import DataRecipe, df_state, euler_ns_state, initial_state, tns_state
 from driftflow.spectral import (
     Grid,
     PhysParams,
@@ -37,6 +37,7 @@ from driftflow.systems import (
     _advection,
     _gas_density,
     _mixture,
+    _pressure_slope_ratio,
 )
 
 from conftest import random_field, small_field
@@ -45,6 +46,10 @@ from oracles import (
     linear_rhs_euler_ns,
     momentum_rhs_df_conservative,
     momentum_rhs_df_nonconservative,
+    pressure_slope_ratio,
+    rhs_df_scaled_ref,
+    rhs_euler_ns_scaled_ref,
+    rhs_tns_ref,
 )
 
 GRID = Grid(2, 32, 4.0 * np.pi)
@@ -374,3 +379,48 @@ class TestValidateGuards:
                         check(st)
                 else:
                     check(st)
+
+
+class TestPlainForms:
+    """Each rhs family against its plain one-expression-per-term form in
+    tests/oracles.py, and the inputs left as they were."""
+
+    GRIDS = [Grid(2, 16, 2.0 * np.pi), Grid(2, 24, 5.0), Grid(3, 12, 3.0)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=strategies.sampled_from(GRIDS), seed=strategies.integers(0, 2**16),
+           eps=strategies.sampled_from([1.0, 0.1]), gamma=strategies.sampled_from([3.0, 1.4]),
+           linear=strategies.booleans())
+    def test_rhs_equals_plain_form(self, grid, seed, eps, gamma, linear):
+        par = PhysParams(tau=0.3, eps=eps, mu=0.7, lam=-0.2, gamma=gamma)
+        recipe = DataRecipe(seed=seed, amplitude=0.05, rho_amplitude=0.05, k_band=(0.4, 4.0))
+        cases = {
+            "euler_ns": (lambda s: rhs_euler_ns_scaled(s, eps, 0.3, par, linear),
+                         lambda s: rhs_euler_ns_scaled_ref(s, eps, 0.3, par, linear)),
+            "df": (lambda s: rhs_df_scaled(s, eps, par, linear),
+                   lambda s: rhs_df_scaled_ref(s, eps, par, linear)),
+            "tns": (lambda s: rhs_tns(s, par, linear), lambda s: rhs_tns_ref(s, par, linear)),
+        }
+        for system, (rhs, ref) in cases.items():
+            state = initial_state(system, grid, recipe)
+            before = {k: f.coeffs.tobytes() for k, f in state.fields().items()}
+            got, want = rhs(state), ref(state)
+            for name, w in want.fields().items():
+                scale = max(float(np.max(np.abs(w.coeffs))), 1e-300)
+                err = float(np.max(np.abs(got.fields()[name].coeffs - w.coeffs)))
+                assert err <= 1e-13 * scale, (system, name, err / scale)
+            assert {k: f.coeffs.tobytes() for k, f in state.fields().items()} == before
+
+    @pytest.mark.parametrize("gamma", [3.0, 1.4, 2.0])
+    def test_pressure_slope_ratio_branches(self, gamma):
+        # the series below |x| = 1e-8, the quotient from there on
+        x = np.array([0.0, 9.9e-9, -9.9e-9, 1e-8, -1e-8, 1.01e-8, -1.01e-8, 0.3, -0.4, np.nan])
+        got = _pressure_slope_ratio(x, gamma)
+        np.testing.assert_array_equal(got, pressure_slope_ratio(x, gamma))
+        assert got[0] == gamma - 1.0
+        assert np.isnan(got[-1])
+        # the two branches meet at the switch
+        assert abs(got[1] - got[5]) <= 1e-7 and abs(got[2] - got[6]) <= 1e-7
+        big = x[7:9]
+        np.testing.assert_allclose(got[7:9], ((1.0 + big) ** (gamma - 1.0) - 1.0) / big,
+                                   rtol=1e-15)
