@@ -9,7 +9,6 @@ from .spectral import (
     Grid,
     PhysParams,
     SpectralField,
-    apply_derivative,
     curl,
     dealias,
     div,
@@ -22,11 +21,9 @@ from .spectral import (
     to_physical,
 )
 from .besov import (
-    BesovSpec,
     BlockTimeSeries,
     LPFamily,
     besov_norm,
-    besov_weak_norm,
     chemin_lerner_norm,
     dyadic_block,
     dyadic_sum,

@@ -269,7 +269,7 @@ def criterion_conservation():
                                               dtype=np.complex128))
     rho = z(); rho.coeffs[0, 0] = 0.4
     eq = StateEulerNS(rho, zv(), z(), zv())
-    stepper = Stepper("euler_ns", grid, par, Scheme(), 0.05)
+    stepper = Stepper("euler_ns", grid, par, 0.05)
     x = eq
     for _ in range(1000):
         x = stepper.step(x)
@@ -293,7 +293,7 @@ def criterion_self_convergence():
     T = 0.8
     finals = []
     for dt in (0.01, 0.005, 0.0025):
-        stepper = Stepper("euler_ns", grid, par, Scheme(), dt)
+        stepper = Stepper("euler_ns", grid, par, dt)
         x = st
         for _ in range(round(T / dt)):
             x = stepper.step(x)

@@ -10,6 +10,7 @@ phi(r) = chi(r/2) - chi(r), supported in 3/4 <= r <= 8/3, and the family
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,7 +80,8 @@ def block_j_range(r_min: float, r_max: float) -> tuple[int, int]:
 @dataclass
 class LPFamily:
     """
-    The dyadic multiplier family bound to a grid.
+    The dyadic multiplier family bound to a grid: the blocks j_min..j_max
+    whose annuli cover the grid's radii, one block spare each side.
 
     ``weights`` stacks every block weight phi(2^-j |xi|), j = j_min..j_max,
     on the grid's spectral lattice, shape (J,) + grid.spectral_shape; it is
@@ -87,22 +89,18 @@ class LPFamily:
     """
 
     grid: Grid
-    j_min: int
-    j_max: int
+    j_min: int = field(init=False)
+    j_max: int = field(init=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        radii = self.grid.active_radii()
+        j_min, j_max = block_j_range(float(radii[0]), float(radii[-1]))
+        self.j_min, self.j_max = j_min - 1, j_max + 1
         scales = 2.0 ** self.j_values.reshape((-1,) + (1,) * self.grid.dim)
         self.weights = phi(self.grid.kmag / scales)
         # the squared rows, flat, for the p = 2 block norms
         self._squares = np.square(self.weights).reshape(len(scales), -1)
-
-    @classmethod
-    def for_grid(cls, grid: Grid) -> "LPFamily":
-        """The family whose annuli cover the grid's radii, one block spare each side."""
-        radii = grid.active_radii()
-        j_min, j_max = block_j_range(float(radii[0]), float(radii[-1]))
-        return cls(grid, j_min - 1, j_max + 1)
 
     @property
     def j_values(self) -> np.ndarray:
@@ -119,23 +117,10 @@ class LPFamily:
         return float(np.max(np.abs(total[self.grid.kmag > 0] - 1.0)))
 
 
-_FAMILIES: dict[tuple, LPFamily] = {}
-
-
+@functools.cache
 def family_for(grid: Grid) -> LPFamily:
-    key = (grid.dim, grid.npts, grid.length)
-    if key not in _FAMILIES:
-        _FAMILIES[key] = LPFamily.for_grid(grid)
-    return _FAMILIES[key]
-
-
-@dataclass(frozen=True)
-class BesovSpec:
-    """Norm indices: regularity s, integrability p, summation exponent r."""
-
-    s: float
-    p: float = 2.0
-    r: float = 1.0
+    """The one family of a grid, built on first use; equal grids share it."""
+    return LPFamily(grid)
 
 
 @dataclass
@@ -160,37 +145,34 @@ class BlockTimeSeries:
 # block extraction and norms
 
 
-def dyadic_block(f: SpectralField, j: int, family: LPFamily | None = None) -> SpectralField:
+def dyadic_block(f: SpectralField, j: int) -> SpectralField:
     """Frequency-localize f to the annulus |xi| ~ 2^j."""
-    fam = family or family_for(f.grid)
-    return SpectralField(f.grid, f.coeffs * fam.weight(j))
+    return SpectralField(f.grid, f.coeffs * family_for(f.grid).weight(j))
 
 
-def block_lp_norm(f: SpectralField, j: int, p: float, family: LPFamily | None = None) -> float:
-    fam = family or family_for(f.grid)
+def block_lp_norm(f: SpectralField, j: int, p: float) -> float:
     if p == 2.0:
-        return float(np.sqrt(f.grid.volume * parseval_sum(f.grid, fam.weight(j) * f.coeffs)))
+        weight = family_for(f.grid).weight(j)
+        return float(np.sqrt(f.grid.volume * parseval_sum(f.grid, weight * f.coeffs)))
     if p not in _SUPPORTED_P:
         raise UnsupportedP(f"p = {p} not in {{1, 2, 4, inf}}")
-    return lp_norm(dyadic_block(f, j, fam), p)
+    return lp_norm(dyadic_block(f, j), p)
 
 
-def block_l2_spectrum(f: SpectralField, family: LPFamily | None = None) -> np.ndarray:
+def block_l2_spectrum(f: SpectralField) -> np.ndarray:
     """All block L2 norms at once: the squared weight table contracted
     against the Parseval-weighted |c|^2."""
-    fam = family or family_for(f.grid)
     amp2 = f.coeffs.real**2 + f.coeffs.imag**2
     if f.is_vector:
         amp2 = np.sum(amp2, axis=0)
     amp2 *= f.grid.parseval_weight
-    return np.sqrt(f.grid.volume * (fam._squares @ amp2.ravel()))
+    return np.sqrt(f.grid.volume * (family_for(f.grid)._squares @ amp2.ravel()))
 
 
-def block_lp_spectrum(f: SpectralField, p: float, family: LPFamily | None = None) -> np.ndarray:
-    fam = family or family_for(f.grid)
+def block_lp_spectrum(f: SpectralField, p: float) -> np.ndarray:
     if p == 2.0:
-        return block_l2_spectrum(f, fam)
-    return np.array([block_lp_norm(f, j, p, fam) for j in fam.j_values])
+        return block_l2_spectrum(f)
+    return np.array([block_lp_norm(f, j, p) for j in family_for(f.grid).j_values])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +181,9 @@ def block_lp_spectrum(f: SpectralField, p: float, family: LPFamily | None = None
 
 def dyadic_sum(b: np.ndarray, js: np.ndarray, s: float, r: float = 1.0):
     """l^r norm over axis 0 of 2^{js} b, for block values b of shape (J,)
-    (a float) or (J, T) (one norm per column)."""
+    (a float) or (J, T) (one norm per column); r >= 1, inf included."""
+    if not r >= 1:
+        raise UnsupportedP(f"summation exponent r = {r} is not >= 1")
     b = np.asarray(b, dtype=np.float64)
     w = 2.0 ** (np.asarray(js) * s).reshape((-1,) + (1,) * (b.ndim - 1)) * b
     if np.isinf(r):
@@ -216,27 +200,12 @@ def _low_high(b: np.ndarray, js: np.ndarray, j0: int, s_low: float, s_high: floa
     return dyadic_sum(b[low], js[low], s_low, r), dyadic_sum(b[high], js[high], s_high, r)
 
 
-def besov_norm(
-    f: SpectralField,
-    spec: BesovSpec | None = None,
-    family: LPFamily | None = None,
-    *,
-    s: float | None = None,
-    p: float = 2.0,
-    r: float = 1.0,
-) -> float:
-    """Homogeneous Besov norm: l^r over j of 2^{js} ||Delta_j f||_{Lp}."""
-    if spec is None:
-        spec = BesovSpec(s=float(s), p=p, r=r)
-    if spec.p not in _SUPPORTED_P:
-        raise UnsupportedP(f"p = {spec.p} not in {{1, 2, 4, inf}}")
-    fam = family or family_for(f.grid)
-    return float(dyadic_sum(block_lp_spectrum(f, spec.p, fam), fam.j_values, spec.s, spec.r))
-
-
-def besov_weak_norm(f: SpectralField, s: float, family: LPFamily | None = None) -> float:
-    """The r = infinity norm sup_j 2^{js} ||Delta_j f||_{L2}."""
-    return besov_norm(f, BesovSpec(s=s, p=2.0, r=np.inf), family)
+def besov_norm(f: SpectralField, s: float, p: float = 2.0, r: float = 1.0) -> float:
+    """Homogeneous Besov norm: l^r over j of 2^{js} ||Delta_j f||_{Lp}, for
+    p in {1, 2, 4, inf} and r >= 1 (r = inf gives sup_j)."""
+    if p not in _SUPPORTED_P:
+        raise UnsupportedP(f"p = {p} not in {{1, 2, 4, inf}}")
+    return float(dyadic_sum(block_lp_spectrum(f, p), family_for(f.grid).j_values, s, r))
 
 
 def split_low_high(
@@ -246,31 +215,23 @@ def split_low_high(
     j0: int = 0,
     p: float = 2.0,
     r: float = 1.0,
-    family: LPFamily | None = None,
 ) -> tuple[float, float]:
     """
     Low/high parts of the Besov norm (the split of ``_low_high``), the high
     part at index s_high (default s_low).  An eps-threshold split uses
     j0 = floor(log2(1/eps)).
     """
-    fam = family or family_for(f.grid)
-    lo, hi = _low_high(block_lp_spectrum(f, p, fam), fam.j_values, j0, s_low,
+    lo, hi = _low_high(block_lp_spectrum(f, p), family_for(f.grid).j_values, j0, s_low,
                        s_low if s_high is None else s_high, r)
     return float(lo), float(hi)
 
 
-def hybrid_norm(
-    f: SpectralField,
-    s: float,
-    s_prime: float,
-    j0: int = 0,
-    family: LPFamily | None = None,
-) -> float:
+def hybrid_norm(f: SpectralField, s: float, s_prime: float, j0: int = 0) -> float:
     """
     Norm of the intersection space (s < s') or the sum space (s > s'),
     reconstructed from the low/high split: low part at s, high part at s'.
     """
-    lo, hi = split_low_high(f, s, s_prime, j0=j0, family=family)
+    lo, hi = split_low_high(f, s, s_prime, j0=j0)
     return lo + hi
 
 
@@ -307,12 +268,6 @@ def chemin_lerner_low_high(
     lo, hi = _low_high(_time_lr(series.values, series.times, rho), series.j_values, j0,
                        s_low, s_high, r)
     return float(lo), float(hi)
-
-
-def lebesgue_besov_time_norm(series: BlockTimeSeries, rho: float, s: float, r: float = 1.0) -> float:
-    """Frequency-then-time ordering: instantaneous Besov norm, then L^rho in t."""
-    inst = dyadic_sum(series.values, series.j_values, s, r)
-    return float(_time_lr(inst, series.times, rho))
 
 
 def hybrid_time_l1_norm(series: BlockTimeSeries, s: float, s_prime: float, j0: int = 0) -> float:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__, acceptance, studies
-from .besov import BesovSpec, besov_norm, family_for
+from .besov import besov_norm
 from .config import RunConfig, _jsonable, read_config_file, record_for, study_to_files, write_csv
 from .errors import DriftflowError
 from .initial_data import initial_state
@@ -118,11 +119,9 @@ def cmd_study(args) -> int:
 
 def cmd_besov(args) -> int:
     f = load_field(args.snapshot)
-    fam = family_for(f.grid)
     rows = []
-    for spec_str in args.norms.split(";"):
-        s, p, r = (float(x) for x in spec_str.split(","))
-        val = besov_norm(f, BesovSpec(s=s, p=p, r=r), fam)
+    for s, p, r in args.norms:
+        val = besov_norm(f, s, p, r)
         rows.append([s, p, r, val])
         print(f"s={s:g} p={p:g} r={r:g}: {val:.12g}")
     if args.out:
@@ -165,6 +164,23 @@ def _suite(text: str) -> str:
         raise argparse.ArgumentTypeError(
             f"{text!r} is neither 'desk' nor a comma list of {', '.join(known)}")
     return text
+
+
+def _norms(text: str) -> list[tuple[float, float, float]]:
+    """--norms: semicolon-separated s,p,r triples of numbers, s finite;
+    anything else is a usage error.  besov_norm checks p and r."""
+    triples = []
+    for item in text.split(";"):
+        try:
+            s, p, r = (float(x) for x in item.split(","))
+            ok = math.isfinite(s)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(
+                f"{item!r} is not an s,p,r triple of numbers with a finite s")
+        triples.append((s, p, r))
+    return triples
 
 
 def _add_config_flags(p, *names):
@@ -217,7 +233,8 @@ def build_parser():
 
     p = sub.add_parser("besov", help="norms of a stored field snapshot")
     p.add_argument("snapshot", help="snapshot file")
-    p.add_argument("--norms", default="0,2,1", help="semicolon-separated s,p,r triples")
+    p.add_argument("--norms", default="0,2,1", type=_norms,
+                   help="semicolon-separated s,p,r triples, p in {1,2,4,inf}, r >= 1")
     p.add_argument("--out", help="optional CSV output")
     p.set_defaults(fn=cmd_besov)
 

@@ -62,7 +62,6 @@ class RunConfig:
     k_lo: float = 0.5
     k_hi: float = 3.0
     dt: float | None = None
-    cfl_safety: float = 0.4
     horizon: float = 20.0
     sample_dt: float | None = None
     outdir: str = "runs"
@@ -87,10 +86,6 @@ class RunConfig:
         cfg = cls(**data)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        return cls.from_dict(read_config_file(path))
 
     def validate(self) -> "RunConfig":
         if self.prepared not in ("ill", "well"):
@@ -126,7 +121,7 @@ class RunConfig:
         )
 
     def scheme_obj(self) -> Scheme:
-        return Scheme(dt=self.dt, cfl_safety=self.cfl_safety)
+        return Scheme(dt=self.dt)
 
     def canonical_json(self) -> str:
         """Every field but ``outdir``, which names where results go, not what
@@ -158,13 +153,6 @@ def write_csv(path, columns, rows) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_csv(path):
-    lines = Path(path).read_text().strip().split("\n")
-    cols = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    return cols, rows
 
 
 def _jsonable(obj):

@@ -5,10 +5,6 @@ class DriftflowError(Exception):
     """Base class for all package errors."""
 
 
-class NegativePowerOfZeroMode(DriftflowError):
-    """A negative fractional Laplacian power was applied to a field with nonzero mean."""
-
-
 class UnsupportedP(DriftflowError):
     """Block Lp norms are only provided for p in {1, 2, 4, inf}."""
 
@@ -50,7 +46,8 @@ class NonPositiveData(DriftflowError):
 
 
 class FormatVersionMismatch(DriftflowError):
-    """A snapshot file carries an unknown magic tag or format version."""
+    """A snapshot or result file cannot be read, or carries an unknown magic
+    tag, format version or layout."""
 
 
 class ConfigError(DriftflowError):

@@ -28,7 +28,9 @@ from .systems import _dot, system_spec
 DIVERGENCE_FACTOR = 1e3
 # ``integrate`` validates the state every this many steps, and at the end
 VALIDATE_EVERY = 25
-# cap on the advective CFL estimate of the step
+# the step estimated without a given dt: CFL_SAFETY times the advective
+# CFL limit, capped at DT_MAX
+CFL_SAFETY = 0.4
 DT_MAX = 0.1
 
 
@@ -37,19 +39,13 @@ class Scheme:
     """The exponential midpoint step (exp_rk2): the linear symbol applied
     exactly per mode, the nonlinearity at the start and the midpoint.
 
-    ``dt`` is the step, or None for ``cfl_safety`` times the advective CFL
-    limit (capped at ``DT_MAX``).  ``linear_only`` drops the nonlinearity,
-    which makes every step exact."""
+    ``dt`` is the step, or None for the CFL estimate (``estimate_dt``)."""
 
     dt: float | None = None
-    cfl_safety: float = 0.4
-    linear_only: bool = False
 
     def __post_init__(self):
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +239,20 @@ def apply_resolvent(tab: ResolventTable, state):
 class Stepper:
     """The exponential midpoint step of one system at a fixed dt."""
 
-    def __init__(self, system: str, grid: Grid, params: PhysParams, scheme: Scheme, dt: float):
+    def __init__(self, system: str, grid: Grid, params: PhysParams, dt: float):
         self.system = system
         self.grid = grid
         self.params = params
-        self.scheme = scheme
         self.dt = dt
         self.e_half = precompute_mode_propagators(grid, params, 0.5 * dt, system)
 
-    def _nl(self, state):
-        if self.scheme.linear_only:
-            return _rebuild(state, [np.zeros_like(f.coeffs) for f in state.fields().values()])
-        return nonlinear_rhs(self.system, state, self.params)
-
     def step(self, state):
         dt = self.dt
-        mid = apply_propagator(self.e_half, state_axpy(state, 0.5 * dt, self._nl(state)))
-        k2 = self._nl(mid)
+        # the first rhs is a temporary: a name holding it through the second
+        # rhs would add one full state to the peak memory
+        mid = apply_propagator(self.e_half, state_axpy(
+            state, 0.5 * dt, nonlinear_rhs(self.system, state, self.params)))
+        k2 = nonlinear_rhs(self.system, mid, self.params)
         half = apply_propagator(self.e_half, state)
         return apply_propagator(self.e_half, state_axpy(half, dt, k2))
 
@@ -291,7 +284,7 @@ class BlockObserver:
 
     def sample(self, state, t):
         f = self.selector(state)
-        return block_lp_spectrum(f, self.p, family_for(f.grid))
+        return block_lp_spectrum(f, self.p)
 
 
 class FieldObserver:
@@ -331,12 +324,12 @@ class Trajectory:
 # driver
 
 
-def estimate_dt(state, scheme: Scheme) -> float:
+def estimate_dt(state) -> float:
     sup = 1e-12
     for f in state.fields().values():
         if f.is_vector:
             sup = max(sup, float(np.max(np.sqrt(np.sum(to_physical(f) ** 2, axis=0)))))
-    dt = scheme.cfl_safety * state.grid.dx / sup
+    dt = CFL_SAFETY * state.grid.dx / sup
     return min(dt, DT_MAX)
 
 
@@ -369,7 +362,7 @@ def integrate(
     if T < 0:
         raise ValueError("T must be nonnegative")
     grid = state0.grid
-    dt_main = scheme.dt if scheme.dt is not None else estimate_dt(state0, scheme)
+    dt_main = scheme.dt if scheme.dt is not None else estimate_dt(state0)
     dt_main = min(dt_main, T) if T > 0 else dt_main
 
     spec = system_spec(system)
@@ -424,7 +417,7 @@ def integrate(
     n_steps = sum(len(step_times) for _, step_times, _ in phases)
     next_sample = sample_dt
     for h, step_times, dense in phases:
-        stepper = Stepper(system, grid, params, scheme, h)
+        stepper = Stepper(system, grid, params, h)
         for t in step_times:
             t = float(t)
             try:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import FormatVersionMismatch, NegativePowerOfZeroMode
+from .errors import FormatVersionMismatch
 
 _SNAPSHOT_MAGIC = b"DFS1"
 _SNAPSHOT_VERSION = 2
@@ -242,68 +242,36 @@ def to_physical(f: SpectralField) -> np.ndarray:
 # differential multipliers
 
 
-def apply_derivative(f: SpectralField, op: str, s: float | None = None) -> SpectralField:
-    """
-    Apply a Fourier-multiplier operator.
-
-    op = "grad"       scalar -> vector, multiplier i*xi
-         "div"        vector -> scalar, multiplier i*xi .
-         "curl"       vector -> vector in 3D, i*xi x; in 2D the scalar
-                      d1 f2 - d2 f1
-         "laplacian"  multiplier -|xi|^2
-         "lambda_s"   multiplier |xi|^s (zero mode mapped to 0); s < 0 requires
-                      a mean-free field.
-    """
-    g = f.grid
-    if op == "grad":
-        if f.is_vector:
-            raise ValueError("grad expects a scalar field")
-        return SpectralField(g, g.ikvec * f.coeffs[np.newaxis])
-    if op == "div":
-        if not f.is_vector:
-            raise ValueError("div expects a vector field")
-        return SpectralField(g, np.sum(g.ikvec * f.coeffs, axis=0))
-    if op == "curl":
-        if f.num_components != g.dim:
-            raise ValueError("curl expects a vector field of the grid's dimension")
-        ik, c = g.ikvec, f.coeffs
-        if g.dim == 2:
-            return SpectralField(g, ik[0] * c[1] - ik[1] * c[0])
-        return SpectralField(g, np.stack([ik[(i + 1) % 3] * c[(i + 2) % 3]
-                                          - ik[(i + 2) % 3] * c[(i + 1) % 3]
-                                          for i in range(3)]))
-    if op == "laplacian":
-        return SpectralField(g, -g.k2 * f.coeffs)
-    if op == "lambda_s":
-        if s is None:
-            raise ValueError("lambda_s requires the exponent s")
-        if s < 0:
-            z = np.max(np.abs(np.atleast_1d(f.zero_mode())))
-            if z > 1e-13 * max(1.0, float(np.max(np.abs(f.coeffs)))):
-                raise NegativePowerOfZeroMode(
-                    f"zero mode magnitude {z:.3e} with negative power s={s}"
-                )
-        mult = np.zeros_like(g.kmag)
-        nz = g.kmag > 0
-        mult[nz] = g.kmag[nz] ** s
-        return SpectralField(g, mult * f.coeffs)
-    raise ValueError(f"unknown operator {op!r}")
-
-
 def grad(f: SpectralField) -> SpectralField:
-    return apply_derivative(f, "grad")
+    """Scalar -> vector, multiplier i*xi."""
+    if f.is_vector:
+        raise ValueError("grad expects a scalar field")
+    return SpectralField(f.grid, f.grid.ikvec * f.coeffs[np.newaxis])
 
 
 def div(f: SpectralField) -> SpectralField:
-    return apply_derivative(f, "div")
+    """Vector -> scalar, multiplier i*xi . (summed over components)."""
+    if not f.is_vector:
+        raise ValueError("div expects a vector field")
+    return SpectralField(f.grid, np.sum(f.grid.ikvec * f.coeffs, axis=0))
 
 
 def curl(f: SpectralField) -> SpectralField:
-    return apply_derivative(f, "curl")
+    """i*xi x f in 3D; in 2D the scalar d1 f2 - d2 f1."""
+    g = f.grid
+    if f.num_components != g.dim:
+        raise ValueError("curl expects a vector field of the grid's dimension")
+    ik, c = g.ikvec, f.coeffs
+    if g.dim == 2:
+        return SpectralField(g, ik[0] * c[1] - ik[1] * c[0])
+    return SpectralField(g, np.stack([ik[(i + 1) % 3] * c[(i + 2) % 3]
+                                      - ik[(i + 2) % 3] * c[(i + 1) % 3]
+                                      for i in range(3)]))
 
 
 def laplacian(f: SpectralField) -> SpectralField:
-    return apply_derivative(f, "laplacian")
+    """Multiplier -|xi|^2."""
+    return SpectralField(f.grid, -f.grid.k2 * f.coeffs)
 
 
 def leray_project(f: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -410,9 +378,12 @@ def save_field(path, f: SpectralField) -> None:
 
 
 def load_field(path) -> SpectralField:
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize(_HEADER))
-        payload = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(struct.calcsize(_HEADER))
+            payload = fh.read()
+    except OSError as exc:
+        raise FormatVersionMismatch(f"cannot read snapshot {path}: {exc}") from None
     if len(header) != struct.calcsize(_HEADER):
         raise FormatVersionMismatch(f"truncated header: {len(header)} bytes")
     magic, version, endian, dim, npts, ncomp, length = struct.unpack(_HEADER, header)

@@ -3,8 +3,9 @@ Independent reference computations used by the tests: a hand-rolled
 scaled-and-squared matrix exponential, exact linear convolution of centered
 spectra, the linear part of the two-phase rhs, the drift-flux momentum rate
 in both forms, the advective form of (v.grad)v, the drift-flux limit
-measurements from stored checkpoints, and small helpers that avoid the
-production code paths.
+measurements from stored checkpoints, the frequency-then-time
+Lebesgue-Besov norm, and small helpers that avoid the production code
+paths.
 
 The last section keeps the plain forms of the stepper's hot loops, one
 numpy expression per term: the propagator applied through the split into
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from driftflow import linear
-from driftflow.besov import phi as lp_phi
+from driftflow.besov import dyadic_sum, phi as lp_phi
 from driftflow.errors import InsufficientSamples, QuadratureNotConverged
 from driftflow.initial_data import coupled_euler_ns_data, df_state
 from driftflow.integrate import CheckpointObserver, Scheme, integrate
@@ -107,6 +108,14 @@ def true_product_coeffs(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
 
 def trapz_time_l2(times, values):
     return np.sqrt(np.trapezoid(np.asarray(values) ** 2, times))
+
+
+def lebesgue_besov_time_norm(series, rho: float, s: float, r: float = 1.0) -> float:
+    """The frequency-then-time ordering that the Chemin-Lerner norms are
+    compared against: the Besov norm at each sample time, then its L^rho
+    norm in time (trapezoid quadrature, rho < inf)."""
+    inst = dyadic_sum(series.values, series.j_values, s, r)
+    return float(np.trapezoid(inst**rho, series.times) ** (1.0 / rho))
 
 
 def _visc(v: SpectralField, mu: float, lam: float) -> SpectralField:

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftflow.besov import (
-    BesovSpec,
     BlockTimeSeries,
     LPFamily,
     besov_norm,
-    besov_weak_norm,
     block_l2_spectrum,
     block_lp_norm,
     chemin_lerner_low_high,
@@ -21,7 +19,6 @@ from driftflow.besov import (
     family_for,
     hybrid_norm,
     hybrid_time_l1_norm,
-    lebesgue_besov_time_norm,
     phi,
     split_low_high,
 )
@@ -29,6 +26,7 @@ from driftflow.errors import InsufficientSamples, UnsupportedP
 from driftflow.spectral import Grid, SpectralField, from_physical, l2_norm
 
 from conftest import random_field
+from oracles import lebesgue_besov_time_norm
 
 
 class TestGenerator:
@@ -48,6 +46,12 @@ class TestGenerator:
     def test_partition_of_unity(self, grid2d):
         fam = family_for(grid2d)
         assert fam.partition_residual() < 1e-10
+
+    def test_family_is_shared_by_equal_grids(self):
+        fam = family_for(Grid(2, 16, 2.0 * np.pi))
+        assert family_for(Grid(2, 16, 2.0 * np.pi)) is fam
+        other = family_for(Grid(2, 16, 3.0 * np.pi))
+        assert other is not fam and other.grid.length == 3.0 * np.pi
 
     def test_partition_on_wide_radius_range(self):
         r = np.geomspace(1e-4, 64.0, 3000)
@@ -72,11 +76,11 @@ class TestBlocks:
         f = single_mode_field(grid, (7, 0))
         assert np.isclose(grid.kmag[7, 0], 2.8)
         fam = family_for(grid)
-        b1 = dyadic_block(f, 1, fam)
+        b1 = dyadic_block(f, 1)
         assert np.max(np.abs(b1.coeffs - f.coeffs)) < 1e-12
         for j in fam.j_values:
             if j != 1:
-                assert l2_norm(dyadic_block(f, j, fam)) < 1e-12
+                assert l2_norm(dyadic_block(f, j)) < 1e-12
 
     def test_blocks_sum_to_field(self, grid2d, rng):
         f = random_field(grid2d, rng)
@@ -84,14 +88,13 @@ class TestBlocks:
         fam = family_for(grid2d)
         total = np.zeros_like(f.coeffs)
         for j in fam.j_values:
-            total += dyadic_block(f, j, fam).coeffs
+            total += dyadic_block(f, j).coeffs
         assert np.max(np.abs(total - f.coeffs)) < 1e-10 * max(np.max(np.abs(f.coeffs)), 1.0)
 
     def test_block_support_annulus(self, grid2d, rng):
         f = random_field(grid2d, rng)
-        fam = family_for(grid2d)
         j = 1
-        blk = dyadic_block(f, j, fam)
+        blk = dyadic_block(f, j)
         outside = (grid2d.kmag < 0.75 * 2.0**j) | (grid2d.kmag > 8.0 / 3.0 * 2.0**j)
         assert np.max(np.abs(blk.coeffs[outside])) == 0.0
 
@@ -102,22 +105,22 @@ class TestBesovNorms:
         # so the s=0 summed norm equals the plain L2 norm
         grid = Grid(2, 32, 2.0 * np.pi)
         f = single_mode_field(grid, (4, 0))
-        n = besov_norm(f, BesovSpec(s=0.0, p=2.0, r=1.0))
+        n = besov_norm(f, 0.0, 2.0, 1.0)
         assert abs(n - l2_norm(f)) < 1e-10 * l2_norm(f)
 
     def test_single_block_closed_form(self):
         grid = Grid(2, 32, 5.0 * np.pi)
         f = single_mode_field(grid, (7, 0))
         for s in (-1.0, 0.5, 2.0):
-            n = besov_norm(f, BesovSpec(s=s))
+            n = besov_norm(f, s)
             assert abs(n - 2.0**s * l2_norm(f)) < 1e-10 * max(n, 1.0)
-            w = besov_weak_norm(f, s)
+            w = besov_norm(f, s, r=np.inf)
             assert abs(w - 2.0**s * l2_norm(f)) < 1e-10 * max(w, 1.0)
 
     def test_equivalence_with_sobolev(self, rng):
         grid = Grid(2, 64, 2.0 * np.pi)
         f = random_field(grid, rng, band=(1.0, 18.0))
-        b = besov_norm(f, BesovSpec(s=1.0, p=2.0, r=2.0))
+        b = besov_norm(f, 1.0, 2.0, 2.0)
         h1 = float(np.sqrt(grid.volume * np.sum(grid.k2 * np.abs(f.coeffs) ** 2)))
         assert 0.5 < b / h1 < 2.0
 
@@ -125,23 +128,31 @@ class TestBesovNorms:
         f = random_field(grid2d, rng)
         f.coeffs[0, 0] = 0.0
         for s in (-0.5, 0.0, 1.0):
-            assert besov_weak_norm(f, s) <= besov_norm(f, BesovSpec(s=s)) + 1e-14
+            assert besov_norm(f, s, r=np.inf) <= besov_norm(f, s) + 1e-14
 
     def test_unsupported_p(self, grid2d, rng):
         f = random_field(grid2d, rng)
         with pytest.raises(UnsupportedP):
-            besov_norm(f, BesovSpec(s=0.0, p=3.0))
+            besov_norm(f, 0.0, 3.0)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, 0.5, np.nan])
+    def test_summation_exponent_below_one_rejected(self, grid2d, rng, r):
+        f = random_field(grid2d, rng)
+        with pytest.raises(UnsupportedP):
+            besov_norm(f, 0.0, r=r)
+        with pytest.raises(UnsupportedP):  # every norm sums through dyadic_sum
+            split_low_high(f, 0.0, r=r)
 
     def test_interpolation_inequality_shape(self, grid2d, rng):
         s1, s2 = -1.0, 2.0
         for _ in range(5):
             f = random_field(grid2d, rng)
             f.coeffs[0, 0] = 0.0
-            w1 = besov_weak_norm(f, s1)
-            w2 = besov_weak_norm(f, s2)
+            w1 = besov_norm(f, s1, r=np.inf)
+            w2 = besov_norm(f, s2, r=np.inf)
             for theta in (0.25, 0.5, 0.75):
                 s = theta * s1 + (1 - theta) * s2
-                lhs = besov_norm(f, BesovSpec(s=s))
+                lhs = besov_norm(f, s)
                 c = 10.0 / (theta * (1 - theta) * (s2 - s1))
                 assert lhs <= c * w1**theta * w2 ** (1 - theta)
 
@@ -155,14 +166,14 @@ class TestBesovNorms:
         f1.coeffs[0, 0] = 0.0
         f2 = SpectralField(g2, f1.coeffs.copy())
         for s in (-0.5, 1.0):
-            n1 = besov_norm(f1, BesovSpec(s=s))
-            n2 = besov_norm(f2, BesovSpec(s=s))
+            n1 = besov_norm(f1, s)
+            n2 = besov_norm(f2, s)
             assert abs(n2 - lam ** (s - g1.dim / 2.0) * n1) < 1e-8 * n2
 
     def test_lp_block_norms_run(self, grid2d, rng):
         f = random_field(grid2d, rng)
         for p in (1.0, 4.0, np.inf):
-            assert besov_norm(f, BesovSpec(s=0.0, p=p)) > 0
+            assert besov_norm(f, 0.0, p) > 0
 
 
 class TestSplits:
@@ -176,10 +187,10 @@ class TestSplits:
     def test_low_high_overlap_bounds(self, grid2d, rng):
         f = random_field(grid2d, rng)
         f.coeffs[0, 0] = 0.0
-        n = besov_norm(f, BesovSpec(s=0.5))
+        n = besov_norm(f, 0.5)
         lo, hi = split_low_high(f, 0.5, j0=0)
         fam = family_for(grid2d)
-        blocks = block_l2_spectrum(f, fam)
+        blocks = block_l2_spectrum(f)
         js = list(fam.j_values)
         # blocks j = -1, 0 are counted by both parts
         overlap = sum(2.0 ** (0.5 * j) * blocks[js.index(j)] for j in (-1, 0))
@@ -192,7 +203,7 @@ class TestSplits:
         lo, hi = split_low_high(f, 0.0, j0=j0)
         # the mode at radius 4 lives in blocks j = 1, 2, both <= j0 = 3
         assert np.isclose(lo, l2_norm(f), rtol=1e-10)
-        blocks = block_l2_spectrum(f, family_for(grid))
+        blocks = block_l2_spectrum(f)
         js = family_for(grid).j_values
         assert hi <= np.sum(blocks[js >= j0 - 1]) + 1e-12
 
@@ -206,7 +217,7 @@ class TestSplits:
 def decaying_series(grid, rng, ts):
     f = random_field(grid, rng)
     f.coeffs[0, 0] = 0.0
-    base = block_l2_spectrum(f, family_for(grid))
+    base = block_l2_spectrum(f)
     vals = np.outer(base, np.exp(-ts))
     return f, BlockTimeSeries(times=ts, j_values=family_for(grid).j_values, values=vals)
 
@@ -215,17 +226,17 @@ class TestCheminLerner:
     def test_constant_in_time_sup_norm(self, grid2d, rng):
         f = random_field(grid2d, rng)
         f.coeffs[0, 0] = 0.0
-        base = block_l2_spectrum(f, family_for(grid2d))
+        base = block_l2_spectrum(f)
         ts = np.linspace(0, 2, 5)
         series = BlockTimeSeries(ts, family_for(grid2d).j_values, np.outer(base, np.ones_like(ts)))
         n = chemin_lerner_norm(series, np.inf, s=0.3)
-        assert np.isclose(n, besov_norm(f, BesovSpec(s=0.3)), rtol=1e-12)
+        assert np.isclose(n, besov_norm(f, 0.3), rtol=1e-12)
 
     def test_exponential_decay_l1(self, grid2d, rng):
         ts = np.arange(0.0, 20.0 + 1e-12, 1e-3)
         f, series = decaying_series(grid2d, rng, ts)
         n = chemin_lerner_norm(series, 1.0, s=0.0)
-        expected = besov_norm(f, BesovSpec(s=0.0)) * (1.0 - np.exp(-20.0))
+        expected = besov_norm(f, 0.0) * (1.0 - np.exp(-20.0))
         assert abs(n - expected) < 1e-3 * expected
 
     def test_r1_matches_frequency_first_ordering(self, grid2d, rng):
@@ -246,7 +257,7 @@ class TestCheminLerner:
 
     def test_insufficient_samples(self, grid2d, rng):
         f = random_field(grid2d, rng)
-        base = block_l2_spectrum(f, family_for(grid2d))
+        base = block_l2_spectrum(f)
         series = BlockTimeSeries(np.array([0.0]), family_for(grid2d).j_values, base[:, None])
         with pytest.raises(InsufficientSamples):
             chemin_lerner_norm(series, 2.0, s=0.0)
@@ -294,7 +305,7 @@ thresholds = st.integers(min_value=-3, max_value=3)
 def constant_series(f, ts):
     """The blocks of f held constant over the sample times ts."""
     fam = family_for(f.grid)
-    base = block_l2_spectrum(f, fam)
+    base = block_l2_spectrum(f)
     return BlockTimeSeries(ts, fam.j_values, np.outer(base, np.ones_like(ts)))
 
 
@@ -302,7 +313,7 @@ class TestSplitProperties:
     @PROPERTY
     @given(grid=grids)
     def test_weight_rows_partition_unity(self, grid):
-        total = np.sum(LPFamily.for_grid(grid).weights, axis=0)
+        total = np.sum(LPFamily(grid).weights, axis=0)
         nonzero = grid.kmag > 0
         assert np.max(np.abs(total[nonzero] - 1.0)) < 1e-10
         assert total[~nonzero].item() == 0.0
@@ -312,8 +323,8 @@ class TestSplitProperties:
     def test_table_contraction_matches_per_block_sums(self, grid, seed, ncomp):
         f = random_field(grid, np.random.default_rng(seed), ncomp)
         fam = family_for(grid)
-        per_block = [block_lp_norm(f, j, 2.0, fam) for j in fam.j_values]
-        assert np.allclose(block_l2_spectrum(f, fam), per_block, rtol=1e-12, atol=0.0)
+        per_block = [block_lp_norm(f, j, 2.0) for j in fam.j_values]
+        assert np.allclose(block_l2_spectrum(f), per_block, rtol=1e-12, atol=0.0)
 
     @PROPERTY
     @given(grid=grids, seed=seeds, s_low=indices, s_high=indices, j0=thresholds)

@@ -8,11 +8,34 @@ import numpy as np
 import pytest
 
 from driftflow.cli import build_parser, main
-from driftflow.config import ResultRecord, RunConfig, read_csv, write_csv
+from driftflow.config import ResultRecord, RunConfig, read_config_file, write_csv
 from driftflow.errors import ConfigError, FormatVersionMismatch
 from driftflow.spectral import Grid, SpectralField, save_field
 
 from conftest import small_field
+
+
+def read_csv(path):
+    """The header and the rows of a CSV file written by ``write_csv``, as text."""
+    lines = Path(path).read_text().strip().split("\n")
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def last_error(capsys) -> dict:
+    """The JSON error object the CLI printed last on stderr."""
+    return json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+
+
+def mode_snapshot(tmp_path):
+    """A single-mode 2D N=32 field, saved; returns the path and the field."""
+    grid = Grid(2, 32, 5.0 * np.pi)
+    c = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    c[7, 0] = 0.5
+    c[-7, 0] = 0.5
+    f = SpectralField(grid, c)
+    snap = tmp_path / "mode.dfs"
+    save_field(snap, f)
+    return snap, f
 
 
 class TestRunConfig:
@@ -41,8 +64,8 @@ class TestRunConfig:
         b = tmp_path / "b.json"
         a.write_text(json.dumps({"system": "df", "npts": 32, "tau": 0.2}))
         b.write_text(json.dumps({"tau": 0.2, "system": "df", "npts": 32}))
-        ca = RunConfig.from_json(a)
-        cb = RunConfig.from_json(b)
+        ca = RunConfig.from_dict(read_config_file(a))
+        cb = RunConfig.from_dict(read_config_file(b))
         assert ca.config_hash() == cb.config_hash()
 
     def test_hash_reads_an_integer_float_as_the_float(self):
@@ -54,6 +77,11 @@ class TestRunConfig:
 
     def test_hash_ignores_the_output_directory(self):
         assert RunConfig(outdir="a").config_hash() == RunConfig(outdir="b").config_hash()
+
+    def test_cfl_safety_is_not_a_key(self):
+        # the CFL factor is the constant integrate.CFL_SAFETY
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"cfl_safety": 0.4})
 
 
 class TestPersistence:
@@ -118,13 +146,7 @@ class TestCLI:
             build_parser().parse_args(shlex.split(line)[1:])
 
     def test_besov_subcommand_single_mode(self, tmp_path, rng, capsys):
-        grid = Grid(2, 32, 5.0 * np.pi)
-        c = np.zeros(grid.spectral_shape, dtype=np.complex128)
-        c[7, 0] = 0.5
-        c[-7, 0] = 0.5
-        f = SpectralField(grid, c)
-        snap = tmp_path / "mode.dfs"
-        save_field(snap, f)
+        snap, f = mode_snapshot(tmp_path)
         rc = main(["besov", str(snap), "--norms", "1.0,2,1",
                    "--out", str(tmp_path / "norms.csv")])
         assert rc == 0
@@ -136,14 +158,32 @@ class TestCLI:
         val = float(out.strip().split()[-1])
         assert abs(val - expected) < 1e-9 * expected
 
+    @pytest.mark.parametrize("norms", ["0,2", "a,b,c", "nan,2,1"],
+                             ids=["two-numbers", "not-numbers", "s-not-finite"])
+    def test_besov_malformed_norms_are_a_usage_error(self, norms, tmp_path):
+        snap, _ = mode_snapshot(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["besov", str(snap), "--norms", norms])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("norms", ["0,2,0", "0,2,-1"], ids=["r-zero", "r-negative"])
+    def test_besov_unsupported_index_exit_is_machine_readable(self, norms, tmp_path, capsys):
+        snap, _ = mode_snapshot(tmp_path)
+        assert main(["besov", str(snap), "--norms", norms]) == 2
+        assert last_error(capsys)["error"] == "UnsupportedP"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_snapshot_exit_is_machine_readable(self, kind, tmp_path, capsys):
+        path = tmp_path / "missing.dfs" if kind == "missing" else tmp_path
+        assert main(["besov", str(path)]) == 2
+        assert last_error(capsys)["error"] == "FormatVersionMismatch"
+
     def test_error_exit_is_machine_readable(self, tmp_path, capsys):
         missing = tmp_path / "nope.dfs"
         missing.write_bytes(b"XXXXgarbage" + b"\0" * 64)
         rc = main(["besov", str(missing)])
         assert rc == 2
-        err = capsys.readouterr().err
-        body = json.loads(err.strip().split("\n")[-1])
-        assert body["error"] == "FormatVersionMismatch"
+        assert last_error(capsys)["error"] == "FormatVersionMismatch"
 
     @pytest.mark.parametrize("text", ['{"npts": 16,', '{"npts": "16"}'],
                              ids=["invalid-json", "wrong-type"])
@@ -152,8 +192,7 @@ class TestCLI:
         cfg.write_text(text)
         rc = main(["simulate", "--config", str(cfg), "--outdir", str(tmp_path)])
         assert rc == 2
-        body = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
-        assert body["error"] == "ConfigError"
+        assert last_error(capsys)["error"] == "ConfigError"
 
     def test_truncated_snapshot_exit_is_machine_readable(self, tmp_path, capsys):
         grid = Grid(2, 16, 2.0 * np.pi)
@@ -162,8 +201,7 @@ class TestCLI:
         snap.write_bytes(snap.read_bytes()[:-8])
         rc = main(["besov", str(snap)])
         assert rc == 2
-        body = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
-        assert body["error"] == "FormatVersionMismatch"
+        assert last_error(capsys)["error"] == "FormatVersionMismatch"
 
 
 def test_verify_suite_list_runs_in_table_order(tmp_path, capsys):

@@ -137,7 +137,7 @@ class TestPropagatorTable:
 class TestStep:
     def test_equilibrium_fixed_through_thousand_steps(self):
         st = zero_state()
-        stepper = Stepper("euler_ns", GRID, PAR, Scheme(), 0.05)
+        stepper = Stepper("euler_ns", GRID, PAR, 0.05)
         x = st
         for _ in range(1000):
             x = stepper.step(x)
@@ -147,21 +147,21 @@ class TestStep:
         recipe = DataRecipe(seed=4, amplitude=1e-6, rho_amplitude=0.0, rho_floor=0.0)
         st = euler_ns_state(GRID, recipe)
         dt = 0.2
-        stepper = Stepper("euler_ns", GRID, PAR, Scheme(), dt)
+        stepper = Stepper("euler_ns", GRID, PAR, dt)
         one = stepper.step(st)
         tab = precompute_mode_propagators(GRID, PAR, dt, "euler_ns")
         lin = apply_propagator(tab, st)
         assert state_distance(one, lin) < 1e-10
 
-    def test_linear_only_is_exact_for_any_step(self):
+    def test_propagator_table_semigroup(self):
+        # the T/(2n) table applied 2n times (the linear part of n steps) is the T table
         st = euler_ns_state(GRID, DataRecipe(seed=5, amplitude=0.05))
-        T, nsteps = 2.0, 4
-        stepper = Stepper("euler_ns", GRID, PAR, Scheme(linear_only=True), T / nsteps)
+        T, n = 2.0, 4
+        tab = precompute_mode_propagators(GRID, PAR, T / (2 * n), "euler_ns")
         x = st
-        for _ in range(nsteps):
-            x = stepper.step(x)
-        tab = precompute_mode_propagators(GRID, PAR, T, "euler_ns")
-        exact = apply_propagator(tab, st)
+        for _ in range(2 * n):
+            x = apply_propagator(tab, x)
+        exact = apply_propagator(precompute_mode_propagators(GRID, PAR, T, "euler_ns"), st)
         assert state_distance(x, exact) < 1e-10
 
     def test_self_convergence_order_two(self):
@@ -170,7 +170,7 @@ class TestStep:
         T = 0.8
         results = []
         for dt in (0.04, 0.02, 0.01):
-            stepper = Stepper("euler_ns", GRID, par, Scheme(), dt)
+            stepper = Stepper("euler_ns", GRID, par, dt)
             x = st
             for _ in range(round(T / dt)):
                 x = stepper.step(x)

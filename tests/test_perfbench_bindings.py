@@ -52,7 +52,7 @@ def test_hot_loops_call_the_traced_names(probe_module):
         probe.enable_tracing()
         for system in ("euler_ns", "df", "tns"):
             state = initial_state(system, grid, DataRecipe(seed=1, amplitude=0.04))
-            integ.Stepper(system, grid, par, integ.Scheme(dt=0.05), 0.05).step(state)
+            integ.Stepper(system, grid, par, 0.05).step(state)
         init = linear.RadialInit(a0=linear.cutoff_profile)
         linear.continuum_block_l2(init, 1.0, 2, 0.2, 1.0, -1.0, np.arange(-3, 1))
     finally:

@@ -6,7 +6,7 @@ import pytest
 from driftflow.cli import build_parser
 from driftflow.config import RunConfig
 from driftflow.initial_data import DataRecipe, initial_state
-from driftflow.integrate import Scheme, Stepper
+from driftflow.integrate import Stepper
 from driftflow.spectral import Grid, PhysParams
 from driftflow.systems import SYSTEMS
 
@@ -25,7 +25,7 @@ def test_cli_and_config_accept(name):
 def test_steps_conserve_transported_scalars(name):
     state0 = initial_state(name, GRID, DataRecipe(seed=3, amplitude=0.04, k_band=(0.5, 1.5)))
     assert isinstance(state0, SYSTEMS[name].state_cls)
-    stepper = Stepper(name, GRID, PAR, Scheme(), 0.05)
+    stepper = Stepper(name, GRID, PAR, 0.05)
     state = state0
     for _ in range(2):
         state = stepper.step(state)

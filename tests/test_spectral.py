@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftflow.errors import DriftflowError, FormatVersionMismatch, NegativePowerOfZeroMode
+from driftflow.errors import DriftflowError, FormatVersionMismatch
 from driftflow.spectral import (
     Grid,
     SpectralField,
-    apply_derivative,
     curl,
     dealias,
     div,
@@ -76,25 +75,6 @@ class TestDerivatives:
         lf = to_physical(laplacian(f))
         expected = -np.sum(k**2) * np.cos(k[0] * x[0] + k[1] * x[1])
         assert np.max(np.abs(lf - expected)) < 1e-11
-
-    def test_lambda_zero_is_identity_on_mean_free(self, grid2d, rng):
-        f = random_field(grid2d, rng)
-        f.coeffs[0, 0] = 0.0
-        out = apply_derivative(f, "lambda_s", s=0.0)
-        assert np.max(np.abs(out.coeffs - f.coeffs)) < 1e-14
-
-    def test_lambda_two_matches_minus_laplacian(self, grid2d, rng):
-        f = random_field(grid2d, rng)
-        a = apply_derivative(f, "lambda_s", s=2.0)
-        b = laplacian(f)
-        scale = np.max(np.abs(b.coeffs)) or 1.0
-        assert np.max(np.abs(a.coeffs + b.coeffs)) < 1e-12 * scale
-
-    def test_negative_power_rejects_mean(self, grid2d, rng):
-        f = random_field(grid2d, rng)
-        f.coeffs[0, 0] = 1.0
-        with pytest.raises(NegativePowerOfZeroMode):
-            apply_derivative(f, "lambda_s", s=-1.0)
 
     def test_grad_div_consistency(self, grid2d, rng):
         h = random_field(grid2d, rng)
@@ -301,7 +281,7 @@ class TestHalfSpectrumProperties:
         g = random_field(grid, rng)
         w = random_field(grid, rng, ncomp=grid.dim)
         outs = [laplacian(f), grad(f), div(w), curl(w), multiply(f, g), dealias(f),
-                apply_derivative(f, "lambda_s", s=1.5), *leray_project(w)]
+                *leray_project(w)]
         for out in outs:
             again = from_physical(grid, to_physical(out))
             scale = max(np.max(np.abs(out.coeffs)), 1.0)
