@@ -182,7 +182,7 @@ def criterion_decay_sandwich():
 @_criterion("relaxation rate sweep", 900.0)
 def criterion_relaxation_rates():
     """Velocity-mismatch norms against the friction time over a sweep."""
-    res = studies.relaxation_study([0.2, 0.1, 0.05, 0.025], T=40.0, dt=0.05)
+    res = studies.relaxation_study()
     s_sqrt = res.fits["sqrt_family"].slope
     s_tau = res.fits["tau_family"].slope
     ok = 0.40 <= s_sqrt <= 0.65 and 0.85 <= s_tau <= 1.15
@@ -194,7 +194,7 @@ def criterion_relaxation_rates():
 @_criterion("drift-flux limit error", 1800.0)
 def criterion_df_limit():
     """Two-phase to drift-flux distance against the friction time."""
-    res = studies.df_limit_study([0.2, 0.1, 0.05], T=20.0, dt=0.05, sample_dt=0.5)
+    res = studies.df_limit_study()
     slope = res.fits["sup_error"].slope
     ok = 0.40 <= slope <= 0.70 and bool(res.details["monotone"])
     return ok, {"slope": slope, "monotone": res.details["monotone"],
@@ -223,10 +223,9 @@ def criterion_nonlinear_decay():
 @_criterion("low-Mach rate sweep", 1200.0)
 def criterion_incompressible():
     """Low-Mach acoustic norms against eps, plus the drag-coupled variant."""
-    eps_list = [0.4, 0.2, 0.1, 0.05]
-    res_df = studies.incompressible_study(eps_list, system="df_scaled")
+    res_df = studies.incompressible_study(system="df_scaled")
     s_ac = res_df.fits["acoustic_norm"].slope
-    res_ens = studies.incompressible_study(eps_list, system="euler_ns_scaled")
+    res_ens = studies.incompressible_study(system="euler_ns_scaled")
     s_rel = res_ens.fits["relative_norm"].slope
     ok = 0.05 <= s_ac <= 0.22 and 0.85 <= s_rel <= 1.15
     return ok, {"acoustic_slope": s_ac, "relative_slope": s_rel,

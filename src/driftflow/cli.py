@@ -3,7 +3,9 @@ Command-line surface: single simulations, the four rate studies, snapshot
 norms, and the acceptance battery.
 
 The four study subcommands share ``cmd_study``; each parser's defaults name
-its study, its default sweep and its own options.  ``verify --suite`` takes
+its study and its own options, and a subcommand at its defaults makes the
+acceptance battery's call of its study.  ``--values`` takes a comma list of
+at least three positive finite numbers.  ``verify --suite`` takes
 'desk' or a comma list of the criterion names of ``acceptance.ALL_CRITERIA``
 (the linear-theory checks are three of them); any other value is a usage
 error.  Every subcommand writes CSV/JSON artifacts into the output directory
@@ -95,18 +97,15 @@ def _study_config(args) -> tuple[RunConfig, dict]:
 
 
 def cmd_study(args) -> int:
-    """Run the subcommand's study (set by its parser): over ``--values`` or
-    its default sweep if it sweeps, with its own options and the keys of
+    """Run the subcommand's study (set by its parser): over ``--values`` if
+    given, else its default sweep, with its own options and the keys of
     ``_study_config``."""
     cfg, kwargs = _study_config(args)
     kwargs.update({key: val for key, flag in args.options.items()
                    if (val := getattr(args, flag)) is not None})
     runner = getattr(studies, args.study)
-    if args.sweep is None:
-        study = runner(**kwargs)
-    else:
-        values = [float(x) for x in args.values.split(",")] if args.values else args.sweep
-        study = runner(values, **kwargs)
+    values = getattr(args, "values", None)
+    study = runner(values, **kwargs) if values else runner(**kwargs)
     files = study_to_files(study, cfg.outdir, cfg)
     target = f" (target {study.details['target']:g})" if "target" in study.details else ""
     for key, fit in study.fits.items():
@@ -166,6 +165,20 @@ def _suite(text: str) -> str:
     return text
 
 
+def _values(text: str) -> list[float]:
+    """--values: a comma list of at least 3 positive finite numbers, the
+    fewest a rate fit takes; anything else is a usage error, raised before
+    any study runs."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) < 3 or not all(math.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma list of at least 3 positive finite numbers")
+    return values
+
+
 def _norms(text: str) -> list[tuple[float, float, float]]:
     """--norms: semicolon-separated s,p,r triples of numbers, s finite;
     anything else is a usage error.  besov_norm checks p and r."""
@@ -205,31 +218,29 @@ def build_parser():
     p.add_argument("--snapshot", action="store_true", help="store final-state snapshots")
     p.set_defaults(fn=cmd_simulate)
 
-    # each study subcommand: the studies function, its default sweep (None:
-    # the study takes no swept values) and the study kwargs its own flags set
+    # each study subcommand: the studies function and the study kwargs its
+    # own flags set; the study's defaults are the battery's run
     p = sub.add_parser("relaxation", help="friction-time sweep of the velocity mismatch")
     _add_config_flags(p, *_GRID_FLAGS, "dt", "horizon")
-    p.add_argument("--values", help="comma-separated tau values")
-    p.set_defaults(fn=cmd_study, study="relaxation_study", sweep=[0.2, 0.1, 0.05, 0.025],
-                   options={})
+    p.add_argument("--values", type=_values, help="comma-separated tau values")
+    p.set_defaults(fn=cmd_study, study="relaxation_study", options={})
 
     p = sub.add_parser("df-limit", help="two-phase versus drift-flux error sweep")
     _add_config_flags(p, *_GRID_FLAGS, "dt", "horizon")
-    p.add_argument("--values", help="comma-separated tau values")
-    p.set_defaults(fn=cmd_study, study="df_limit_study", sweep=[0.2, 0.1, 0.05], options={})
+    p.add_argument("--values", type=_values, help="comma-separated tau values")
+    p.set_defaults(fn=cmd_study, study="df_limit_study", options={})
 
     p = sub.add_parser("decay", help="large-time decay exponents on the torus")
     _add_config_flags(p, *_GRID_FLAGS, "dt")
     p.add_argument("--sigma1", type=float, help="low-frequency regularity index")
-    p.set_defaults(fn=cmd_study, study="decay_study", sweep=None, options={"sigma1": "sigma1"})
+    p.set_defaults(fn=cmd_study, study="decay_study", options={"sigma1": "sigma1"})
 
     p = sub.add_parser("incompressible", help="Mach-number sweep of acoustic norms")
     _add_config_flags(p, *_GRID_FLAGS, "horizon")
-    p.add_argument("--values", help="comma-separated eps values")
+    p.add_argument("--values", type=_values, help="comma-separated eps values")
     p.add_argument("--variant", default="df_scaled",
                    choices=["df_scaled", "euler_ns_scaled"])
-    p.set_defaults(fn=cmd_study, study="incompressible_study", sweep=[0.4, 0.2, 0.1, 0.05],
-                   options={"system": "variant"})
+    p.set_defaults(fn=cmd_study, study="incompressible_study", options={"system": "variant"})
 
     p = sub.add_parser("besov", help="norms of a stored field snapshot")
     p.add_argument("snapshot", help="snapshot file")

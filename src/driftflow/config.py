@@ -198,21 +198,12 @@ class ResultRecord:
     def write(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
 
-    @classmethod
-    def load(cls, path) -> "ResultRecord":
-        body = json.loads(Path(path).read_text())
-        if body.get("format") != FORMAT_TAG:
-            from .errors import FormatVersionMismatch
-
-            raise FormatVersionMismatch(f"unknown result format {body.get('format')!r}")
-        return cls(body["config_hash"], body["version"], body["payload"])
-
 
 def record_for(config: RunConfig, payload: dict) -> ResultRecord:
     return ResultRecord(config.config_hash(), __version__, payload)
 
 
-def study_to_files(study, outdir, config: RunConfig | None = None) -> dict:
+def study_to_files(study, outdir, config: RunConfig) -> dict:
     """Emit the per-parameter CSV and the JSON summary for a study."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -227,7 +218,6 @@ def study_to_files(study, outdir, config: RunConfig | None = None) -> dict:
         "flags": study.flags,
         "details": _jsonable(study.details),
     }
-    rec = ResultRecord(config.config_hash() if config else "-", __version__, payload)
     json_path = outdir / f"{study.name}.json"
-    rec.write(json_path)
+    record_for(config, payload).write(json_path)
     return {"csv": str(csv_path), "json": str(json_path)}

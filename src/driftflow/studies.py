@@ -2,7 +2,8 @@
 Parameter-sweep studies: relaxation rate of the velocity mismatch, the
 drift-flux limit error, large-time decay exponents, and low-Mach acoustic
 convergence.  Each study runs trajectories, reduces them to norms with the
-dyadic machinery, and fits log-log slopes.
+dyadic machinery, and fits log-log slopes.  A study called with its defaults
+is the acceptance battery's run of it.
 """
 
 from __future__ import annotations
@@ -130,13 +131,11 @@ class StudyResult:
 
 
 def relaxation_study(
-    tau_list,
+    tau_list=(0.2, 0.1, 0.05, 0.025),
     grid: Grid | None = None,
     recipe: DataRecipe | None = None,
     T: float = 40.0,
-    mu: float = 1.0,
-    lam: float = 0.0,
-    dt: float | None = 0.05,
+    dt: float = 0.05,
     sample_dt: float = 0.1,
 ) -> StudyResult:
     """
@@ -151,13 +150,12 @@ def relaxation_study(
     state0 = euler_ns_state(grid, recipe)
     meas = {"sqrt_family": [], "tau_family": [], "l1_high": [], "l2_mean": []}
     for tau in tau_list:
-        params = PhysParams(tau=tau, mu=mu, lam=lam)
         obs = [BlockObserver("rel", lambda s: s.u - s.v)]
         # dt tied to tau keeps the slaved-mismatch stepping error o(tau),
         # so the fitted slopes are free of a time-discretization floor
-        dt_tau = min(dt, tau) if dt is not None else None
-        traj = integrate(state0.copy(), T, Scheme(dt=dt_tau), params, "euler_ns", obs,
-                         min(sample_dt, 2.0 * dt_tau) if dt_tau else sample_dt)
+        dt_tau = min(dt, tau)
+        traj = integrate(state0.copy(), T, Scheme(dt=dt_tau), PhysParams(tau=tau), "euler_ns",
+                         obs, min(sample_dt, 2.0 * dt_tau))
         series = traj.blocks["rel"]
         l1_high = chemin_lerner_norm(series, 1.0, d2)          # L1 in time of the d/2 norm
         l2_mean = chemin_lerner_norm(series, 2.0, d2 - 1.0)    # square-mean of the (d/2-1) norm
@@ -193,13 +191,11 @@ def _error_norms(ens: StateEulerNS, df: StateDF, d2: float):
 
 
 def df_limit_study(
-    tau_list,
+    tau_list=(0.2, 0.1, 0.05),
     grid: Grid | None = None,
     recipe: DataRecipe | None = None,
     T: float = 20.0,
-    mu: float = 1.0,
-    lam: float = 0.0,
-    dt: float = 0.04,
+    dt: float = 0.05,
     sample_dt: float = 0.5,
 ) -> StudyResult:
     """
@@ -224,16 +220,13 @@ def df_limit_study(
                             k_band=(2.0 * np.pi / grid.length, r_max))
     d2 = grid.dim / 2.0
     flags = [] if grid.dim == 3 else ["beyond-theorem: dimension below 3"]
-    params = PhysParams(tau=1.0, mu=mu, lam=lam)
-
     df0 = df_state(grid, recipe)
-    ref = integrate(df0, T, Scheme(dt=dt), params, "df",
+    ref = integrate(df0, T, Scheme(dt=dt), PhysParams(tau=1.0), "df",
                     [CheckpointObserver()], sample_dt)
     ref_by_t = {round(t, 9): s for t, s in ref.checkpoints}
 
     meas = {"sup_error": [], "l1_velocity": [], "sup_density": [], "sup_mixed_velocity": []}
     for tau in tau_list:
-        p = PhysParams(tau=tau, mu=mu, lam=lam)
         norms = {}  # reference time -> the three distance norms there
 
         def distance(state, t, norms=norms):
@@ -243,8 +236,8 @@ def df_limit_study(
             norms[key] = _error_norms(state, ref_by_t[key], d2)
             return norms[key][0] + norms[key][1]
 
-        integrate(coupled_euler_ns_data(df0, tau), T, Scheme(dt=dt), p, "euler_ns",
-                  [ScalarObserver("distance", distance)], sample_dt)
+        integrate(coupled_euler_ns_data(df0, tau), T, Scheme(dt=dt), PhysParams(tau=tau),
+                  "euler_ns", [ScalarObserver("distance", distance)], sample_dt)
         sup_rho_n, sup_v, l1_vals, ts = 0.0, 0.0, [], []
         t_at_max = 0.0
         for t_ref, _ in ref.checkpoints:
@@ -286,8 +279,6 @@ def linear_decay_tier(
     sigmas,
     d: int = 2,
     tau: float = 0.1,
-    t_lo: float = 10.0,
-    t_hi: float = 1000.0,
     n_t: int = 40,
 ) -> dict:
     """
@@ -296,7 +287,7 @@ def linear_decay_tier(
     (the class that saturates the two-sided decay bounds).
     """
     init = linear.RadialInit(a0=linear.power_law_profile(-sigma1 - d / 2.0))
-    ts = np.geomspace(t_lo, t_hi, n_t)
+    ts = np.geomspace(10.0, 1000.0, n_t)
     out = {}
     for sigma in sigmas:
         uav, rel = [], []
@@ -326,13 +317,8 @@ def decay_study(
     sigma1: float = -1.0,
     grid: Grid | None = None,
     recipe: DataRecipe | None = None,
-    tau: float = 0.2,
     T: float = 25.0,
-    window: tuple[float, float] = (5.0, 25.0),
     dt: float = 0.05,
-    mu: float = 0.65,
-    lam: float = 0.7,
-    sigma: float | None = None,
 ) -> StudyResult:
     """
     Nonlinear decay measurement on the torus over the pre-saturation window,
@@ -342,7 +328,7 @@ def decay_study(
     """
     grid = grid or Grid(2, 128, 32.0 * np.pi)
     d2 = grid.dim / 2.0
-    sigma = d2 if sigma is None else sigma
+    sigma, tau, window = d2, 0.2, (5.0, 25.0)
     # the band tops out at 0.5 so the exponential death of mid-band blocks is
     # over before the fit window opens and the window sits in the
     # self-similar regime of the low-frequency reservoir
@@ -351,7 +337,7 @@ def decay_study(
         k_band=(2.0 * np.pi / grid.length, 0.5), sigma1=sigma1,
         mismatch_band=(2.0 * np.pi / grid.length, 0.4),
     )
-    params = PhysParams(tau=tau, mu=mu, lam=lam)
+    params = PhysParams(tau=tau, mu=0.65, lam=0.7)
     state0 = euler_ns_state(grid, recipe)
 
     obs = [
@@ -417,14 +403,11 @@ def decay_study(
 
 
 def incompressible_study(
-    eps_list,
+    eps_list=(0.4, 0.2, 0.1, 0.05),
     system: str = "df_scaled",
     grid: Grid | None = None,
     recipe: DataRecipe | None = None,
     T: float = 20.0,
-    p: float = 4.0,
-    mu: float = 0.3,
-    lam: float = -0.1,
     dt_cap: float = 0.02,
 ) -> StudyResult:
     """
@@ -436,6 +419,7 @@ def incompressible_study(
     grid = grid or Grid(2, 64, 16.0 * np.pi)
     d = grid.dim
     d2 = d / 2.0
+    p = 4.0
     s_p = (d + 1.0) / p - 0.5 if d >= 3 else 5.0 / (2.0 * p) - 0.25
     free_space_slope = 0.5 - 1.0 / p if d >= 3 else 0.25 - 0.5 / p
     # tight pulses and moderate damping: sound spreads before it wraps, and
@@ -447,10 +431,10 @@ def incompressible_study(
         flags.append("two-dimensional exponent family")
 
     drag = system_spec(system).has_drag
-    state0 = initial_state(system, grid, dataclasses.replace(recipe, localized=True))
+    state0 = initial_state(system, grid, recipe)
     meas = {"acoustic_norm": [], **({"relative_norm": []} if drag else {})}
     for eps in eps_list:
-        params = PhysParams(tau=eps, eps=eps, mu=mu, lam=lam)
+        params = PhysParams(tau=eps, eps=eps, mu=0.3, lam=-0.1)
         obs = [
             BlockObserver("a_p", lambda s: s.a, p=p),
             BlockObserver("qv_p", lambda s: leray_project(s.v)[1], p=p),

@@ -1,5 +1,6 @@
 """Configuration, persistence, and command-line surface tests."""
 
+import inspect
 import json
 import shlex
 from pathlib import Path
@@ -7,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftflow import acceptance, studies
 from driftflow.cli import build_parser, main
-from driftflow.config import ResultRecord, RunConfig, read_config_file, write_csv
-from driftflow.errors import ConfigError, FormatVersionMismatch
+from driftflow.config import FORMAT_TAG, ResultRecord, RunConfig, read_config_file, write_csv
+from driftflow.errors import ConfigError
 from driftflow.spectral import Grid, SpectralField, save_field
 
 from conftest import small_field
@@ -98,16 +100,10 @@ class TestPersistence:
         rec = ResultRecord("abc123", "0.1.0", {"x": [1.0, 2.0], "ok": True})
         path = tmp_path / "r.json"
         rec.write(path)
-        back = ResultRecord.load(path)
-        assert back.config_hash == "abc123"
-        assert back.payload["x"] == [1.0, 2.0]
-
-    def test_result_record_format_guard(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps({"format": "other", "config_hash": "x",
-                                    "version": "0", "payload": {}}))
-        with pytest.raises(FormatVersionMismatch):
-            ResultRecord.load(path)
+        body = json.loads(path.read_text())
+        assert body["format"] == FORMAT_TAG
+        assert body["config_hash"] == "abc123"
+        assert body["payload"] == {"x": [1.0, 2.0], "ok": True}
 
 
 class TestCLI:
@@ -230,8 +226,6 @@ STUDY_FLAGS = {
 
 @pytest.mark.parametrize("command", sorted(STUDY_FLAGS))
 def test_study_prints_its_notes(command, tmp_path, monkeypatch, capsys):
-    from driftflow import studies
-
     flag = "two-dimensional exponent family"
     monkeypatch.setattr(studies, STUDY_FLAGS[command][0], lambda *a, **kw: studies.StudyResult(
         command, "p", [], {}, {}, [flag]))
@@ -243,8 +237,6 @@ def test_study_prints_its_notes(command, tmp_path, monkeypatch, capsys):
 def test_study_reads_the_config_file_keys(command, tmp_path, monkeypatch):
     # each key the subcommand has a flag for reaches the study, from the
     # config file or, overriding it, from the flag; the others do not
-    from driftflow import studies
-
     name, expected = STUDY_FLAGS[command]
     seen = {}
 
@@ -260,3 +252,61 @@ def test_study_reads_the_config_file_keys(command, tmp_path, monkeypatch):
     assert set(seen) - {"system", "sigma1"} == expected
     assert (seen["grid"].dim, seen["grid"].npts, seen["grid"].length) == (2, 16, 6.0)
     assert seen.get("T", 2.0) == 2.0 and seen.get("dt", 0.02) == 0.02
+
+
+@pytest.mark.parametrize("values", ["0.2,abc", "0.2,nan,0.1", "-0.1,0.2,0.3", "0.2,0.1"],
+                         ids=["not-a-number", "nan", "negative", "two-values"])
+def test_malformed_values_are_a_usage_error(values, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(studies, "relaxation_study", lambda *a, **kw: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["relaxation", "--npts", "16", "--horizon", "0.5", f"--values={values}",
+              "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert calls == []
+
+
+class StudyCalled(Exception):
+    """Raised by the study spy in place of running the study."""
+
+
+# subcommand argv -> (its study, the criterion that runs it, which of the
+# criterion's calls of the study it is)
+PARITY = {
+    "relaxation": ("relaxation_study", "criterion_relaxation_rates", 0),
+    "df-limit": ("df_limit_study", "criterion_df_limit", 0),
+    "decay": ("decay_study", "criterion_nonlinear_decay", 0),
+    "incompressible": ("incompressible_study", "criterion_incompressible", 0),
+    "incompressible --variant euler_ns_scaled": (
+        "incompressible_study", "criterion_incompressible", 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARITY))
+def test_study_subcommand_makes_the_criterion_call(command, tmp_path, monkeypatch):
+    # each call is bound to the study's signature with its defaults applied,
+    # then the spy raises, so no study runs; calls before the wanted one get
+    # an empty low-Mach result, which is all a criterion reads between calls
+    name, criterion, index = PARITY[command]
+    signature = inspect.signature(getattr(studies, name))
+    fit = studies.RateFit(0.1, 0.0, 0.0, 1.0, [])
+    calls, skip = [], 0
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        if len(calls) > skip:
+            raise StudyCalled
+        return studies.StudyResult(name, "eps", [], {"acoustic_norm": []},
+                                   {"acoustic_norm": fit})
+
+    monkeypatch.setattr(studies, name, spy)
+    with pytest.raises(StudyCalled):
+        main(shlex.split(command) + ["--outdir", str(tmp_path)])
+    cli_call = calls.pop()
+    skip = index
+    with pytest.raises(StudyCalled):
+        getattr(acceptance, criterion)()
+    assert len(calls) == index + 1
+    assert cli_call == calls[index]

@@ -1,9 +1,12 @@
-"""The public names of the ``driftflow`` package, pinned: adding or removing
-one is a deliberate change, listed in CHANGES.md together with an edit here."""
+"""The public names of the ``driftflow`` package and the parameters of its
+studies, pinned: adding or removing one is a deliberate change, listed in
+CHANGES.md together with an edit here."""
 
+import inspect
 import types
 
 import driftflow
+from driftflow import studies
 
 PUBLIC_NAMES = [
     "BlockObserver", "BlockTimeSeries", "CheckpointObserver", "EigenSet", "FieldObserver",
@@ -26,3 +29,17 @@ def test_public_names_are_pinned():
     names = sorted(name for name, val in vars(driftflow).items()
                    if not name.startswith("_") and not isinstance(val, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+STUDY_PARAMETERS = {
+    "relaxation_study": ["tau_list", "grid", "recipe", "T", "dt", "sample_dt"],
+    "df_limit_study": ["tau_list", "grid", "recipe", "T", "dt", "sample_dt"],
+    "decay_study": ["sigma1", "grid", "recipe", "T", "dt"],
+    "incompressible_study": ["eps_list", "system", "grid", "recipe", "T", "dt_cap"],
+    "linear_decay_tier": ["sigma1", "sigmas", "d", "tau", "n_t"],
+}
+
+
+def test_study_parameters_are_pinned():
+    for name, expected in STUDY_PARAMETERS.items():
+        assert list(inspect.signature(getattr(studies, name)).parameters) == expected, name
