@@ -15,52 +15,27 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InsufficientSamples, UnsupportedP
 from .spectral import Grid, SpectralField, lp_norm, parseval_sum
 
 _CHI_LO = 0.75
 _CHI_HI = 4.0 / 3.0
-_TABLE_SIZE = 4096
 
 _SUPPORTED_P = (1.0, 2.0, 4.0, np.inf)
 
 
-def _smoothstep(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, exp(-1/t) bridge between."""
-    t = np.asarray(t, dtype=np.float64)
-    lo = t <= 0.0
-    hi = t >= 1.0
-    mid = ~(lo | hi)
-    out = np.where(hi, 1.0, 0.0)
-    tm = np.clip(t, 1e-300, 1.0)
-    sa = np.exp(-1.0 / np.where(mid, tm, 1.0))
-    sb = np.exp(-1.0 / np.where(mid, 1.0 - tm * mid, 1.0))
-    with np.errstate(invalid="ignore"):
-        bridge = sa / (sa + sb)
-    out = np.where(mid, bridge, out)
-    return out
-
-
-def _build_chi_table():
-    r = np.linspace(_CHI_LO, _CHI_HI, _TABLE_SIZE)
-    vals = 1.0 - _smoothstep((r - _CHI_LO) / (_CHI_HI - _CHI_LO))
-    # All derivatives of the bridge vanish at the endpoints.
-    return CubicSpline(r, vals, bc_type=((1, 0.0), (1, 0.0)))
-
-
-_CHI_SPLINE = _build_chi_table()
-
-
 def chi(r):
-    """Radial low-pass generator: 1 on r <= 3/4, 0 on r >= 4/3, smooth between."""
+    """Radial low-pass generator: 1 on r <= 3/4, 0 on r >= 4/3, and between
+    them the C-infinity bridge b/(a+b), a = exp(-1/t), b = exp(-1/(1-t)),
+    t = (r - 3/4)/(4/3 - 3/4)."""
     r = np.asarray(r, dtype=np.float64)
-    out = np.ones_like(r)
-    out[r >= _CHI_HI] = 0.0
+    out = np.where(r <= _CHI_LO, 1.0, 0.0)
     mid = (r > _CHI_LO) & (r < _CHI_HI)
-    if np.any(mid):
-        out[mid] = np.clip(_CHI_SPLINE(r[mid]), 0.0, 1.0)
+    width = _CHI_HI - _CHI_LO
+    a = np.exp(-width / (r[mid] - _CHI_LO))
+    b = np.exp(-width / (_CHI_HI - r[mid]))
+    out[mid] = b / (a + b)
     return out
 
 

@@ -5,11 +5,13 @@ norms, and the acceptance battery.
 The four study subcommands share ``cmd_study``; each parser's defaults name
 its study and its own options, and a subcommand at its defaults makes the
 acceptance battery's call of its study.  ``--values`` takes a comma list of
-at least three positive finite numbers.  ``verify --suite`` takes
-'desk' or a comma list of the criterion names of ``acceptance.ALL_CRITERIA``
-(the linear-theory checks are three of them); any other value is a usage
-error.  Every subcommand writes CSV/JSON artifacts into the output directory
-and exits 0 only if its in-scope checks pass.
+at least three positive finite numbers, two of them distinct.  ``verify
+--suite`` takes 'desk' or a comma list of the criterion names of
+``acceptance.ALL_CRITERIA`` (the linear-theory checks are three of them); any
+other value is a usage error.  Every subcommand but ``besov`` creates the
+output directory before it runs anything, writes its CSV and JSON artifacts
+there (the JSON through ``config.write_record``) and exits 0 only if its
+in-scope checks pass.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, acceptance, studies
 from .besov import besov_norm
-from .config import RunConfig, _jsonable, read_config_file, record_for, study_to_files, write_csv
-from .errors import DriftflowError
+from .config import RunConfig, read_config_file, study_to_files, write_csv, write_record
+from .errors import ConfigError, DriftflowError
 from .initial_data import initial_state
 from .integrate import BlockObserver, ScalarObserver, integrate
 from .spectral import l2_norm, linf_norm, load_field, save_field
@@ -32,16 +35,21 @@ from .systems import SYSTEMS, system_spec
 
 def _load_config(args) -> tuple[RunConfig, set]:
     """The run config, flags over the --config file over the defaults, and
-    the keys that the file or a flag set."""
+    the keys that the file or a flag set.  Creates the output directory, so
+    that one that cannot be made is a ConfigError before any run."""
     data = read_config_file(args.config) if getattr(args, "config", None) else {}
     flags = {k: v for k in RunConfig.field_names() if (v := getattr(args, k, None)) is not None}
-    return RunConfig.from_dict({**data, **flags}), set(data) | set(flags)
+    cfg = RunConfig.from_dict({**data, **flags})
+    try:
+        Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {cfg.outdir}: {exc}") from None
+    return cfg, set(data) | set(flags)
 
 
 def cmd_simulate(args) -> int:
     cfg, _ = _load_config(args)
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     state0 = initial_state(cfg.system, cfg.grid(), cfg.recipe())
     fields = list(state0.fields())
     obs = [ScalarObserver(f"l2_{k}", lambda s, t, k=k: l2_norm(s.fields()[k])) for k in fields]
@@ -55,26 +63,18 @@ def cmd_simulate(args) -> int:
             for i in range(len(traj.times))]
     write_csv(outdir / "series.csv", cols, rows)
     if args.snapshot:
-        final = traj.meta["final_state"]
-        for k, f in final.fields().items():
+        for k, f in traj.meta["final_state"].fields().items():
             save_field(outdir / f"final_{k}.dfs", f)
-        sidecar = {
-            "time": float(traj.times[-1]),
-            "system": cfg.system,
-            "params": {"tau": cfg.tau, "eps": cfg.eps, "mu": cfg.mu,
-                       "lam": cfg.lam, "gamma": cfg.gamma},
-            "dt": traj.meta["dt_main"],
-            "config_hash": cfg.config_hash(),
-        }
-        (outdir / "final_state.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    rec = record_for(cfg, {
+    write_record(outdir / "summary.json", cfg, {
         "kind": "simulate",
+        "system": cfg.system,
+        "params": asdict(cfg.params()),
+        "dt": traj.meta["dt_main"],
         "mass_drift": traj.meta["mass_drift"],
         "steps": traj.meta["steps"],
         "t_ramp": traj.meta["t_ramp"],
-        "final_time": float(traj.times[-1]),
+        "final_time": traj.times[-1],
     })
-    rec.write(outdir / "summary.json")
     print(f"simulated {cfg.system} to t={traj.times[-1]:g} "
           f"({traj.meta['steps']} steps, mass drift {traj.meta['mass_drift']:.2e})")
     print(f"wrote {outdir}/series.csv")
@@ -106,7 +106,7 @@ def cmd_study(args) -> int:
     runner = getattr(studies, args.study)
     values = getattr(args, "values", None)
     study = runner(values, **kwargs) if values else runner(**kwargs)
-    files = study_to_files(study, cfg.outdir, cfg)
+    files = study_to_files(study, cfg)
     target = f" (target {study.details['target']:g})" if "target" in study.details else ""
     for key, fit in study.fits.items():
         print(f"{args.command}: {key}: {fit}{target}")
@@ -130,22 +130,20 @@ def cmd_besov(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg, _ = _load_config(args)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     names = None if args.suite == "desk" else args.suite.split(",")
     results = acceptance.run_suite(names)
     payload = {
         name: {"passed": r.passed, "elapsed": r.elapsed, "budget": r.budget,
-               "details": _jsonable(r.details)}
+               "details": r.details}
         for name, r in results
     }
     ok = all(r.passed for _, r in results)
     payload["verdict"] = "pass" if ok else "fail"
-    record_for(cfg, {"kind": "verify", "suite": args.suite, "results": payload}).write(
-        outdir / "verify.json")
+    path = Path(cfg.outdir) / "verify.json"
+    write_record(path, cfg, {"kind": "verify", "suite": args.suite, "results": payload})
     print(f"verdict: {payload['verdict']}  ({sum(r.passed for _, r in results)}"
           f"/{len(results)} criteria)")
-    print(f"wrote {outdir}/verify.json")
+    print(f"wrote {path}")
     return 0 if ok else 1
 
 
@@ -166,16 +164,17 @@ def _suite(text: str) -> str:
 
 
 def _values(text: str) -> list[float]:
-    """--values: a comma list of at least 3 positive finite numbers, the
-    fewest a rate fit takes; anything else is a usage error, raised before
-    any study runs."""
+    """--values: a comma list of at least 3 positive finite numbers, two of
+    them distinct, the least a rate fit takes; anything else is a usage
+    error, raised before any study runs."""
     try:
         values = [float(x) for x in text.split(",")]
     except ValueError:
         values = []
-    if len(values) < 3 or not all(math.isfinite(v) and v > 0 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma list of at least 3 positive finite numbers")
+    if (len(values) < 3 or len(set(values)) < 2
+            or not all(math.isfinite(v) and v > 0 for v in values)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of at least 3 "
+                                         "positive finite numbers, two of them distinct")
     return values
 
 

@@ -138,13 +138,38 @@ class RunConfig:
 # output files
 
 
+def _jsonable(obj):
+    """The plain-Python form of a result value, for JSON and CSV alike: numpy
+    scalars and arrays as Python numbers and lists, a RateFit as its four
+    numbers.  bool is tested before int, of which it is a subclass."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if obj.__class__.__name__ == "RateFit":
+        return {
+            "slope": obj.slope,
+            "intercept": obj.intercept,
+            "stderr": obj.stderr,
+            "r_squared": obj.r_squared,
+        }
+    return obj
+
+
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
+    x = _jsonable(x)
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return format(x, ".17g")
     return str(x)
 
 
@@ -155,69 +180,33 @@ def write_csv(path, columns, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if hasattr(obj, "__dict__") and obj.__class__.__name__ == "RateFit":
-        return {
-            "slope": obj.slope,
-            "intercept": obj.intercept,
-            "stderr": obj.stderr,
-            "r_squared": obj.r_squared,
-        }
-    return obj
+def write_record(path, config: RunConfig, payload: dict) -> None:
+    """Write one JSON result file: ``payload``, normalised by ``_jsonable``,
+    in an envelope stamped with the format tag, the config hash and the
+    package version."""
+    body = {
+        "format": FORMAT_TAG,
+        "config_hash": config.config_hash(),
+        "version": __version__,
+        "payload": _jsonable(payload),
+    }
+    Path(path).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
-@dataclass
-class ResultRecord:
-    """Summary of one run or study, addressable by its config hash."""
-
-    config_hash: str
-    version: str
-    payload: dict
-
-    def to_json(self) -> str:
-        body = {
-            "format": FORMAT_TAG,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "payload": _jsonable(self.payload),
-        }
-        return json.dumps(body, indent=2, sort_keys=True)
-
-    def write(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-
-def record_for(config: RunConfig, payload: dict) -> ResultRecord:
-    return ResultRecord(config.config_hash(), __version__, payload)
-
-
-def study_to_files(study, outdir, config: RunConfig) -> dict:
-    """Emit the per-parameter CSV and the JSON summary for a study."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def study_to_files(study, config: RunConfig) -> dict:
+    """Write a study's per-parameter CSV and its JSON record into the
+    config's output directory."""
+    outdir = Path(config.outdir)
     cols, rows = study.table()
     csv_path = outdir / f"{study.name}.csv"
     write_csv(csv_path, cols, rows)
-    payload = {
+    json_path = outdir / f"{study.name}.json"
+    write_record(json_path, config, {
         "study": study.name,
         "parameter": study.parameter_name,
-        "parameters": list(study.parameters),
-        "fits": {k: _jsonable(v) for k, v in study.fits.items()},
+        "parameters": study.parameters,
+        "fits": study.fits,
         "flags": study.flags,
-        "details": _jsonable(study.details),
-    }
-    json_path = outdir / f"{study.name}.json"
-    record_for(config, payload).write(json_path)
+        "details": study.details,
+    })
     return {"csv": str(csv_path), "json": str(json_path)}

@@ -56,12 +56,14 @@ class RateFit:
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray) -> RateFit:
-    """Ordinary least squares of y on x; needs >= 3 points."""
+    """Ordinary least squares of y on x; needs >= 3 points and two distinct x."""
     n = len(x)
     if n < 3:
         raise NonPositiveData("need at least 3 points")
     xbar = x.mean()
     sxx = np.sum((x - xbar) ** 2)
+    if not sxx > 0:
+        raise NonPositiveData("need at least two distinct x values")
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * xbar)
     resid = y - (intercept + slope * x)

@@ -1,5 +1,10 @@
 """Dyadic decomposition and Besov-type norm tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +41,18 @@ class TestGenerator:
         assert np.all(c[r <= 0.75] == 1.0)
         assert np.all(c[r >= 4.0 / 3.0] == 0.0)
         assert np.all(np.diff(c) <= 1e-10)  # non-increasing up to interpolation ripple
+
+    def test_chi_is_closed_form(self):
+        # the cutoff is evaluated, not interpolated: importing the package
+        # loads no interpolation module
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, driftflow; print('scipy.interpolate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "False"
 
     def test_phi_support(self):
         r = np.linspace(0.01, 4, 2000)

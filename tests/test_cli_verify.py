@@ -11,5 +11,5 @@ def test_verify_single_criterion_writes_verdict(tmp_path):
     body = json.loads((tmp_path / "verify.json").read_text())
     results = body["payload"]["results"]
     assert results["verdict"] == "pass"
-    assert results["linear_oracle"]["passed"]
+    assert results["linear_oracle"]["passed"] is True
     assert results["linear_oracle"]["elapsed"] < results["linear_oracle"]["budget"]

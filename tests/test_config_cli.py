@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from driftflow import acceptance, studies
+from driftflow import __version__, acceptance, cli, studies
 from driftflow.cli import build_parser, main
-from driftflow.config import FORMAT_TAG, ResultRecord, RunConfig, read_config_file, write_csv
+from driftflow.config import (FORMAT_TAG, RunConfig, _jsonable, read_config_file, write_csv,
+                              write_record)
 from driftflow.errors import ConfigError
 from driftflow.spectral import Grid, SpectralField, save_field
 
@@ -97,13 +100,59 @@ class TestPersistence:
         assert back == vals  # 17 significant digits reproduce doubles exactly
 
     def test_result_record_roundtrip(self, tmp_path):
-        rec = ResultRecord("abc123", "0.1.0", {"x": [1.0, 2.0], "ok": True})
+        cfg = RunConfig(tau=0.2)
         path = tmp_path / "r.json"
-        rec.write(path)
+        write_record(path, cfg, {"x": np.array([1.0, 2.0]), "ok": np.bool_(True)})
         body = json.loads(path.read_text())
         assert body["format"] == FORMAT_TAG
-        assert body["config_hash"] == "abc123"
+        assert body["config_hash"] == cfg.config_hash()
+        assert body["version"] == __version__
         assert body["payload"] == {"x": [1.0, 2.0], "ok": True}
+        assert body["payload"]["ok"] is True
+
+
+# nested dicts, lists and tuples of the leaves a result payload holds
+_LEAVES = st.one_of(
+    st.booleans(), st.booleans().map(np.bool_),
+    st.integers(-2**62, 2**62), st.integers(-2**62, 2**62).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4).map(np.array),
+    st.lists(st.booleans(), max_size=4).map(np.array),
+)
+_PAYLOADS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4),
+), max_leaves=12)
+
+
+def _plain(x):
+    """The plain-Python structure of a payload, built without _jsonable."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    return x
+
+
+def _bool_leaves_are_bools(a, b) -> bool:
+    """Every leaf of the plain structure ``a`` that is a bool is one in ``b``."""
+    if isinstance(a, dict):
+        return all(_bool_leaves_are_bools(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return all(_bool_leaves_are_bools(x, y) for x, y in zip(a, b))
+    return type(b) is bool if type(a) is bool else True
+
+
+@given(_PAYLOADS)
+def test_jsonable_round_trips_through_json(payload):
+    plain = _plain(payload)
+    back = json.loads(json.dumps(_jsonable(payload)))
+    assert back == plain
+    assert _bool_leaves_are_bools(plain, back)
 
 
 class TestCLI:
@@ -117,8 +166,28 @@ class TestCLI:
         assert (tmp_path / "series.csv").exists()
         assert (tmp_path / "summary.json").exists()
         assert (tmp_path / "final_varrho.dfs").exists()
+        assert not (tmp_path / "final_state.json").exists()
+        payload = json.loads((tmp_path / "summary.json").read_text())["payload"]
+        assert payload["system"] == "tns" and payload["dt"] > 0
+        assert payload["params"] == {"tau": 0.1, "eps": 1.0, "mu": 1.0, "lam": 0.0, "gamma": 3.0}
+        assert payload["final_time"] == 0.5
         cols, rows = read_csv(tmp_path / "series.csv")
         assert cols[0] == "t" and len(rows) >= 2
+
+    @pytest.mark.parametrize("command,module,name", [
+        ("simulate", cli, "integrate"),
+        ("relaxation", studies, "relaxation_study"),
+        ("verify", acceptance, "run_suite"),
+    ])
+    def test_unwritable_outdir_is_a_config_error_before_any_run(
+            self, command, module, name, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([command, "--outdir", str(blocker / "out")]) == 2
+        assert last_error(capsys)["error"] == "ConfigError"
+        assert calls == []
 
     @pytest.mark.parametrize("argv", [
         ["relaxation", "--seed", "5"],
@@ -215,6 +284,21 @@ def test_verify_suite_list_runs_in_table_order(tmp_path, capsys):
     assert results["frequency_shapes"]["details"]["high"]["tau_0.1"]["R"] > 0
 
 
+def test_verify_json_booleans_are_json_booleans(tmp_path, monkeypatch):
+    # numpy and Python bools alike, in verdicts and in details
+    result = acceptance.CriterionResult("drift-flux limit", np.bool_(True), 1.0, 10.0, {
+        "monotone": np.bool_(True), "profile_monotone": False, "rates": [np.bool_(False)]})
+    monkeypatch.setattr(acceptance, "run_suite", lambda names: [("df_limit", result)])
+    assert main(["verify", "--suite", "df_limit", "--outdir", str(tmp_path)]) == 0
+    text = (tmp_path / "verify.json").read_text()
+    entry = json.loads(text)["payload"]["results"]["df_limit"]
+    assert entry["passed"] is True
+    details = entry["details"]
+    assert details["monotone"] is True and details["profile_monotone"] is False
+    assert details["rates"][0] is False
+    assert '"passed": true' in text
+
+
 # subcommand -> (study function, the study kwargs its flags map to)
 STUDY_FLAGS = {
     "relaxation": ("relaxation_study", {"grid", "T", "dt"}),
@@ -254,8 +338,9 @@ def test_study_reads_the_config_file_keys(command, tmp_path, monkeypatch):
     assert seen.get("T", 2.0) == 2.0 and seen.get("dt", 0.02) == 0.02
 
 
-@pytest.mark.parametrize("values", ["0.2,abc", "0.2,nan,0.1", "-0.1,0.2,0.3", "0.2,0.1"],
-                         ids=["not-a-number", "nan", "negative", "two-values"])
+@pytest.mark.parametrize("values", ["0.2,abc", "0.2,nan,0.1", "-0.1,0.2,0.3", "0.2,0.1",
+                                    "0.1,0.1,0.1"],
+                         ids=["not-a-number", "nan", "negative", "two-values", "all-equal"])
 def test_malformed_values_are_a_usage_error(values, tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(studies, "relaxation_study", lambda *a, **kw: calls.append(a))

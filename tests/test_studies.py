@@ -46,6 +46,8 @@ class TestRateFit:
             rate_fit([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(NonPositiveData):
             rate_fit([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+        with pytest.raises(NonPositiveData):  # no spread in x
+            rate_fit([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
 
     def test_exp_rate_fit(self):
         t = np.linspace(0.0, 5.0, 20)
