@@ -7,7 +7,7 @@ Run:  python3 demos/01_spectral_toolbox.py
 
 import numpy as np
 
-from driftflow import Grid, from_physical, to_physical, grad, div, laplacian, leray_project, dealias
+from driftflow import Grid, from_physical, to_physical, grad, div, laplacian, leray_project
 from driftflow.spectral import l2_norm, multiply
 
 grid = Grid(dim=2, npts=64, length=2.0 * np.pi)
@@ -26,17 +26,18 @@ print("solenoidal part of a gradient:", l2_norm(p))
 print("divergence of the solenoidal projection is zero:",
       l2_norm(div(leray_project(grad(h))[0])))
 
-# Energy splits exactly between the two parts.
+# Energy splits exactly between the two parts.  Fields are stored on the
+# 2/3-rule band only, so the transform of noise is already cut to it.
 rng = np.random.default_rng(0)
 w = from_physical(grid, rng.standard_normal((2,) + grid.shape))
-w = dealias(w)
+print("stored band:", w.coeffs.shape[1:], "of the half spectrum", grid.half_shape)
 p, q = leray_project(w)
 print("Pythagoras residual:", l2_norm(w) ** 2 - l2_norm(p) ** 2 - l2_norm(q) ** 2)
 
-# Products are evaluated pointwise and dealiased; a product of two
-# band-limited fields keeps no energy beyond the 2/3 cutoff.
+# Products are evaluated pointwise and transformed back onto the band; a
+# product of two band-limited fields keeps no energy beyond the 2/3 cutoff.
 a = from_physical(grid, np.cos(20 * x[0]))
 prod = multiply(a, a)  # would alias at wavenumber 40 on a 64-point grid
 kmax_active = np.max(np.abs(grid.kint[0])[np.abs(prod.coeffs) > 1e-14]) if np.any(
     np.abs(prod.coeffs) > 1e-14) else 0
-print("highest surviving mode after dealiasing:", kmax_active, "(cutoff", grid.kcut, ")")
+print("highest surviving mode of the product:", kmax_active, "(cutoff", grid.kcut, ")")

@@ -9,7 +9,7 @@ Run:  python3 demos/02_dyadic_norms.py
 
 import numpy as np
 
-from driftflow import Grid, SpectralField, besov_norm, dealias, family_for, from_physical
+from driftflow import Grid, SpectralField, besov_norm, family_for, from_physical
 from driftflow.besov import BlockTimeSeries, block_l2_spectrum, chemin_lerner_norm
 from driftflow.spectral import l2_norm
 
@@ -19,9 +19,9 @@ print("block range:", fam.j_min, "..", fam.j_max)
 print("partition-of-unity residual:", fam.partition_residual())
 
 # A single Fourier mode sits in at most two neighbouring blocks, and its
-# weights add to one.  Only the half spectrum is stored: the coefficient at
-# k = (4, 3) also stands for its conjugate partner at -k, so this field is
-# cos(k . x).
+# weights add to one.  Only the half of the 2/3-rule band is stored: the
+# coefficient at k = (4, 3) also stands for its conjugate partner at -k, so
+# this field is cos(k . x).
 c = np.zeros(grid.spectral_shape, dtype=np.complex128)
 c[4, 3] = 0.5
 f = SpectralField(grid, c)
@@ -32,7 +32,7 @@ print("sum of blocks:", sum(active.values()), " plain norm:", l2_norm(f))
 
 # Weak (r = inf, the sup over blocks) versus summed (r = 1) norms.
 rng = np.random.default_rng(1)
-g = dealias(from_physical(grid, rng.standard_normal(grid.shape)))
+g = from_physical(grid, rng.standard_normal(grid.shape))
 g.coeffs[0, 0] = 0.0
 for s in (-0.5, 0.0, 1.0):
     print(f"s={s:+.1f}: summed {besov_norm(g, s):10.4f}"

@@ -10,7 +10,6 @@ from .spectral import (
     PhysParams,
     SpectralField,
     curl,
-    dealias,
     div,
     from_physical,
     grad,

@@ -11,7 +11,8 @@ at least three positive finite numbers, two of them distinct.  ``verify
 other value is a usage error.  Every subcommand but ``besov`` creates the
 output directory before it runs anything, writes its CSV and JSON artifacts
 there (the JSON through ``config.write_record``) and exits 0 only if its
-in-scope checks pass.
+in-scope checks pass; ``besov`` creates the directory of ``--out`` before it
+loads the snapshot.  A directory that cannot be made is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ def cmd_study(args) -> int:
 
 
 def cmd_besov(args) -> int:
+    if args.out:
+        try:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: {exc}") from None
     f = load_field(args.snapshot)
     rows = []
     for s, p, r in args.norms:

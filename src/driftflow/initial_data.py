@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Grid, SpectralField, _lattice, dealias, from_physical, leray_project,
+from .spectral import (Grid, SpectralField, _band_of, _lattice, from_physical, leray_project,
                        to_physical)
 from .systems import StateDF, StateEulerNS, StateTNS, system_spec
 
@@ -61,12 +61,13 @@ def random_scalar(
     """
     # The random coefficients are drawn, shaped and symmetrized on the full
     # lattice, so that a (recipe, seed) keeps the field it has always named;
-    # the Hermitian result is then cut to the stored half spectrum.
+    # the Hermitian result is then cut to the stored band.
     shape = grid.shape
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     c = (re + 1j * im).astype(np.complex128)
-    _, _, k2, keep = _lattice(grid, half=False)
+    kint, _, k2 = _lattice(grid, full=True)
+    keep = np.all(np.abs(kint) <= grid.kcut, axis=0)
     kmag = np.sqrt(k2)
     mask = (kmag >= k_band[0]) & (kmag <= k_band[1])
     c *= mask
@@ -76,7 +77,7 @@ def random_scalar(
             prof = np.where(kmag > 0, kmag, 1.0) ** expo
         c *= prof
     c = _hermitian_part(c * keep)
-    f = SpectralField(grid, np.ascontiguousarray(c[..., : grid.npts // 2 + 1]))
+    f = SpectralField(grid, _band_of(grid, c))
     idx = (0,) * grid.dim
     f.coeffs[idx] = 0.0
     sup = float(np.max(np.abs(to_physical(f))))
@@ -104,7 +105,7 @@ def random_vector(
 
 
 def bump_scalar(grid: Grid, center=None, width: float | None = None, amplitude: float = 1.0) -> SpectralField:
-    """Periodic Gaussian bump (nearest-image distance), dealiased."""
+    """Periodic Gaussian bump (nearest-image distance), cut to the band."""
     L = grid.length
     width = width or L / 12.0
     if center is None:
@@ -115,7 +116,7 @@ def bump_scalar(grid: Grid, center=None, width: float | None = None, amplitude: 
         dxi = np.abs(x[i] - center[i])
         dxi = np.minimum(dxi, L - dxi)
         r2 += dxi**2
-    return dealias(from_physical(grid, amplitude * np.exp(-r2 / width**2)))
+    return from_physical(grid, amplitude * np.exp(-r2 / width**2))
 
 
 def positive_density(grid: Grid, rng: np.random.Generator, amplitude: float, floor: float) -> SpectralField:
@@ -131,8 +132,8 @@ def positive_density(grid: Grid, rng: np.random.Generator, amplitude: float, flo
         w = rng.uniform(w_min, 1.5 * w_min)
         b = bump_scalar(grid, center, w, amplitude / ncenters)
         total = total + to_physical(b)
-    f = dealias(from_physical(grid, total))
-    # dealiasing ripple must not push the density below zero
+    f = from_physical(grid, total)
+    # the band cut's ripple must not push the density below zero
     m = float(np.min(to_physical(f)))
     if m < floor * 0.5:
         f = SpectralField(f.grid, f.coeffs)
@@ -193,7 +194,7 @@ def localized_df_state(grid: Grid, recipe: DataRecipe) -> StateDF:
     background = random_vector(grid, rng, 0.3 * recipe.amplitude, recipe.k_band, solenoidal=True)
     v = q + background
     rho = positive_density(grid, rng, recipe.rho_amplitude, recipe.rho_floor)
-    return StateDF(rho, a, dealias(v)).validate()
+    return StateDF(rho, a, v).validate()
 
 
 def localized_euler_ns_state(grid: Grid, recipe: DataRecipe) -> StateEulerNS:

@@ -1,30 +1,46 @@
 """
-Torus grids, real fields stored by their half spectrum, and the basic
-Fourier-side operators.
+Torus grids, real fields stored by their retained Fourier band, and the
+basic Fourier-side operators.
 
 A real field f is stored by the coefficients c_k of
 
     f(x) = sum_k c_k exp(i * (2*pi/L) * k . x),
 
-normalized as ``coeffs = rfftn(values) / N**d``.  Because f is real,
-``c_{-k} = conj(c_k)``, so only the half lattice with last index
-0 <= k_d <= N/2 is stored: coefficient arrays have shape
-``(N,)*(d-1) + (N//2+1,)`` (``Grid.spectral_shape``), vector components
-first.  Hermitian symmetry holds by construction and the inverse transform
-returns real samples.  On the last axis the Nyquist index N/2 carries the
-wavenumber -N/2, as in the full FFT layout; the 2/3 rule zeroes it anyway.
+normalized as ``coeffs = rfftn(values) / N**d`` and cut to the 2/3-rule
+band |k_i| <= m = (N-1)//3 (Orszag's rule, tightened so that triple
+products of retained modes cannot alias back onto the band).  Because f is
+real, ``c_{-k} = conj(c_k)``, so only the half band with last index
+0 <= k_d <= m is stored, in FFT order on every axis (wavenumbers
+0..m, -m..-1 on the leading axes, 0..m on the last), so the zero mode sits
+at index 0: coefficient arrays have shape ``(2m+1,)*(d-1) + (m+1,)``
+(``Grid.spectral_shape``), vector components first.  Every state lives in
+this band, so nothing outside it is stored or swept.
+
+The transforms move between the band and the samples through the real-FFT
+half spectrum, shape ``(N,)*(d-1) + (N//2+1,)``: ``to_physical`` copies the
+band into a zeroed half-spectrum buffer, one per grid and leading shape and
+reused, by 2^(d-1) slab copies before ``irfftn``; ``from_physical`` gathers
+the band from ``rfftn`` with the same slabs.  So ``from_physical`` is the
+projection onto the band that the 2/3 rule asks of every product.
 
 Sums over the full lattice become weighted sums over the stored half: a
-coefficient with last index 1 <= k_d <= N/2 - 1 stands for itself and its
-conjugate partner, which is not stored, and so counts twice; the planes
-k_d = 0 and k_d = N/2 hold both partners and count once.  This weight is
+coefficient with last index 1 <= k_d <= m stands for itself and its
+conjugate partner, which is not stored, and so counts twice; the plane
+k_d = 0 holds both partners and counts once.  This weight is
 ``Grid.parseval_weight``; every Parseval sum reads it, e.g.
 
     ||f||_{L2}^2 = L**d * sum(parseval_weight * |c|**2).
+
+Importing this module sets the C allocator to keep freed heap memory
+(``_keep_freed_heap``): the band arrays are small enough that glibc would
+otherwise hand them back to the system and fault them in again every step.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -38,6 +54,26 @@ _SNAPSHOT_MAGIC = b"DFS1"
 _SNAPSHOT_VERSION = 2
 _HEADER = "<4sIIIIId"
 _ENDIAN_TAG = 0x01020304
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Keep up to 1 GiB of freed heap and serve arrays below 32 MiB from it,
+    where the C library has ``mallopt``.  With glibc's adaptive defaults
+    the per-step temporaries of a 3D N=48 run are returned to the system and
+    faulted in again on every step (README, "Numerical notes")."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+_keep_freed_heap()
 
 
 @dataclass(frozen=True)
@@ -67,8 +103,8 @@ class Grid:
         if not self.length > 0:
             raise ValueError("length must be positive")
 
-        n = self.npts
-        kint, kvec, k2, keep = _lattice(self, half=True)
+        n, m = self.npts, (self.npts - 1) // 3
+        kint, kvec, k2 = _lattice(self)
         kmag = np.sqrt(k2)
 
         # Unit direction per mode; zero vector at the mean mode.
@@ -76,17 +112,33 @@ class Grid:
             ehat = np.where(kmag > 0, kvec / np.where(kmag > 0, kmag, 1.0), 0.0)
 
         # Parseval weight per last-axis index (see the module docstring)
-        weight = np.full(n // 2 + 1, 2.0)
-        weight[[0, -1]] = 1.0
+        weight = np.full(m + 1, 2.0)
+        weight[0] = 1.0
+        # The band's slabs, as (band index, half-spectrum index): on each
+        # leading axis the wavenumbers 0..m sit at indices 0..m of both, and
+        # -m..-1 at band indices m+1..2m and half-spectrum indices N-m..N-1;
+        # the last axis keeps 0..m.
+        lead = ((slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, 2 * m + 1), slice(n - m, n)))
+        slabs = []
+        for pairs in itertools.product(lead, repeat=self.dim - 1):
+            pairs += ((slice(0, m + 1), slice(0, m + 1)),)
+            slabs.append(((Ellipsis,) + tuple(b for b, _ in pairs),
+                          (Ellipsis,) + tuple(h for _, h in pairs)))
         object.__setattr__(self, "kint", kint)
         object.__setattr__(self, "kvec", kvec)
         object.__setattr__(self, "ikvec", 1j * kvec)  # the multiplier of grad, div and curl
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "kmag", kmag)
         object.__setattr__(self, "ehat", ehat)
-        object.__setattr__(self, "dealias_keep", keep)
-        object.__setattr__(self, "kcut", (n - 1) // 3)
+        # Every stored mode is retained, so the 2/3-rule mask is all True;
+        # perfbench/ still reads it (its data radius and the modes its
+        # propagator check samples).
+        object.__setattr__(self, "dealias_keep", np.ones(kmag.shape, dtype=bool))
+        object.__setattr__(self, "kcut", m)
         object.__setattr__(self, "parseval_weight", weight)
+        object.__setattr__(self, "_slabs", slabs)
+        # to_physical's zeroed half-spectrum buffers, by leading shape
+        object.__setattr__(self, "_buffers", {})
 
     @property
     def shape(self):
@@ -95,7 +147,12 @@ class Grid:
 
     @property
     def spectral_shape(self):
-        """Shape of a scalar field's stored half spectrum."""
+        """Shape of a scalar field's stored band."""
+        return (2 * self.kcut + 1,) * (self.dim - 1) + (self.kcut + 1,)
+
+    @property
+    def half_shape(self):
+        """Shape of a scalar's real-FFT half spectrum, which the transforms use."""
         return (self.npts,) * (self.dim - 1) + (self.npts // 2 + 1,)
 
     @property
@@ -121,19 +178,34 @@ class Grid:
         return r[r > 0]
 
 
-def _lattice(grid: Grid, half: bool):
-    """Integer wavenumbers, wavevectors, |xi|^2 and the dealias mask on the
-    half lattice (last axis indices 0..N/2: wavenumbers 0..N/2-1 and the
-    Nyquist -N/2) or on the full (N,)*d lattice."""
-    n, d = grid.npts, grid.dim
-    k1 = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # integer lattice per axis
-    last = k1[: n // 2 + 1] if half else k1
-    kint = np.stack(np.meshgrid(*([k1] * (d - 1) + [last]), indexing="ij"))
+def _lattice(grid: Grid, full: bool = False):
+    """Integer wavenumbers, wavevectors and |xi|^2 on the stored band (FFT
+    order per axis) or, with ``full``, on the full (N,)*d FFT lattice."""
+    n, d, m = grid.npts, grid.dim, (grid.npts - 1) // 3
+    if full:
+        axes = [np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)] * d
+    else:
+        band = np.r_[0 : m + 1, -m:0].astype(np.int64)
+        axes = [band] * (d - 1) + [band[: m + 1]]
+    kint = np.stack(np.meshgrid(*axes, indexing="ij"))
     kvec = (2.0 * np.pi / grid.length) * kint.astype(np.float64)
-    # 2/3-rule mask, tightened to (N-1)//3 so that triple products of
-    # retained modes cannot alias back onto the resolved band.
-    keep = np.all(np.abs(kint) <= (n - 1) // 3, axis=0)
-    return kint, kvec, np.sum(kvec**2, axis=0), keep
+    return kint, kvec, np.sum(kvec**2, axis=0)
+
+
+def _band_of(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
+    """The band of a half (or full) spectrum whose last d axes are in FFT
+    order, gathered by the grid's slabs into a new array."""
+    out = np.empty(spectrum.shape[: -grid.dim] + grid.spectral_shape, dtype=np.complex128)
+    for band, half in grid._slabs:
+        out[band] = spectrum[half]
+    return out
+
+
+def _pad(grid: Grid, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy band coefficients into the band slabs of a zeroed half spectrum."""
+    for band, half in grid._slabs:
+        out[half] = coeffs[band]
+    return out
 
 
 @dataclass
@@ -148,7 +220,7 @@ class SpectralField:
             self.coeffs = self.coeffs.astype(np.complex128)
         if self.coeffs.shape[-self.grid.dim:] != self.grid.spectral_shape:
             raise ValueError(f"coefficients of shape {self.coeffs.shape} do not end in "
-                             f"the half spectrum {self.grid.spectral_shape}")
+                             f"the band {self.grid.spectral_shape}")
 
     @property
     def num_components(self) -> int:
@@ -226,16 +298,23 @@ class PhysParams:
 
 
 def from_physical(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Forward transform of real physical samples into a SpectralField."""
+    """Forward transform of real physical samples, projected onto the band."""
     values = np.asarray(values, dtype=np.float64)
     axes = tuple(range(-grid.dim, 0))
-    return SpectralField(grid, sfft.rfftn(values, axes=axes, norm="forward"))
+    return SpectralField(grid, _band_of(grid, sfft.rfftn(values, axes=axes, norm="forward")))
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
-    """Inverse transform; returns real samples on the grid."""
-    axes = tuple(range(-f.grid.dim, 0))
-    return sfft.irfftn(f.coeffs, s=f.grid.shape, axes=axes, norm="forward")
+    """Inverse transform; returns real samples on the grid.  The band is
+    copied into the grid's zeroed half-spectrum buffer for this leading
+    shape, which ``irfftn`` reads and does not overwrite."""
+    g = f.grid
+    lead = f.coeffs.shape[: -g.dim]
+    buf = g._buffers.get(lead)
+    if buf is None:
+        buf = g._buffers[lead] = np.zeros(lead + g.half_shape, dtype=np.complex128)
+    axes = tuple(range(-g.dim, 0))
+    return sfft.irfftn(_pad(g, f.coeffs, buf), s=g.shape, axes=axes, norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +368,12 @@ def leray_project(f: SpectralField) -> tuple[SpectralField, SpectralField]:
     return SpectralField(g, f.coeffs - q), SpectralField(g, q)
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero every coefficient with any |k_i| above the 2/3-rule cutoff."""
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_keep)
-
-
 # ---------------------------------------------------------------------------
 # norms and pointwise algebra
 
 
 def parseval_sum(grid: Grid, coeffs: np.ndarray) -> float:
-    """sum |c_k|^2 over the full lattice, from the stored half spectrum."""
+    """sum |c_k|^2 over the full lattice, from the stored band."""
     return float(np.sum(grid.parseval_weight * (coeffs.real**2 + coeffs.imag**2)))
 
 
@@ -330,13 +404,8 @@ def mean(f: SpectralField):
 
 
 def multiply(a: SpectralField, b: SpectralField) -> SpectralField:
-    """Pointwise product computed in physical space, then dealiased."""
-    return dealias(from_physical(a.grid, to_physical(a) * to_physical(b)))
-
-
-def pointwise(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Wrap physical samples of a (composite) nonlinearity as a dealiased field."""
-    return dealias(from_physical(grid, values))
+    """Pointwise product computed in physical space, projected onto the band."""
+    return from_physical(a.grid, to_physical(a) * to_physical(b))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +425,10 @@ def pointwise(grid: Grid, values: np.ndarray) -> SpectralField:
 #                version 1: the full Hermitian spectrum, shape
 #                           (num_components,) + (npts,)*dim
 #
-# ``save_field`` writes version 2; ``load_field`` reads both, keeping the
-# half of a version-1 array.  A payload of the wrong size is a format error.
+# ``save_field`` writes version 2, the band padded with zeros into the half
+# spectrum.  ``load_field`` reads both versions and gathers the band; a
+# nonzero coefficient outside it, or a payload of the wrong size, is a
+# format error, so no field is truncated silently.
 
 
 def save_field(path, f: SpectralField) -> None:
@@ -371,10 +442,10 @@ def save_field(path, f: SpectralField) -> None:
         f.num_components,
         f.grid.length,
     )
-    flat = np.ascontiguousarray(f.coeffs, dtype="<c16")
+    half = np.zeros(f.coeffs.shape[: -f.grid.dim] + f.grid.half_shape, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(flat.tobytes())
+        fh.write(_pad(f.grid, f.coeffs, half).tobytes())
 
 
 def load_field(path) -> SpectralField:
@@ -403,7 +474,11 @@ def load_field(path) -> SpectralField:
         grid = Grid(dim, npts, length)
     except ValueError as exc:
         raise FormatVersionMismatch(f"bad grid in header: {exc}") from None
-    data = np.frombuffer(payload, dtype="<c16").astype(np.complex128).reshape(stored)
-    if version == 1:
-        data = np.ascontiguousarray(data[..., : npts // 2 + 1])
-    return SpectralField(grid, data)
+    data = np.frombuffer(payload, dtype="<c16").reshape(stored)
+    keep = np.abs(np.fft.fftfreq(npts, d=1.0 / npts)) <= grid.kcut
+    inside = functools.reduce(np.logical_and.outer, [keep] * (dim - 1) + [keep[:last]])
+    outside = np.count_nonzero(data[..., ~inside])
+    if outside:
+        raise FormatVersionMismatch(f"{outside} coefficients outside the retained band "
+                                    f"|k_i| <= {grid.kcut} of N = {npts}")
+    return SpectralField(grid, _band_of(grid, data))

@@ -217,7 +217,7 @@ def df_limit_study(
     if recipe is None:
         # flat critical-norm spectrum up to the lattice edge, so the
         # low-pass velocity coupling injects a sqrt(tau)-sized mismatch
-        r_max = float(np.max(grid.kmag * grid.dealias_keep)) * 0.98
+        r_max = float(np.max(grid.kmag)) * 0.98
         recipe = DataRecipe(seed=11, sigma1=grid.dim / 2.0 - 1.0,
                             k_band=(2.0 * np.pi / grid.length, r_max))
     d2 = grid.dim / 2.0

@@ -21,7 +21,8 @@ the pressure coefficients
     g(a) = 1 - (1+a)^(gamma-2),    f(a) = -a / (1+a)
 
 are closed-form.  Composite nonlinearities are evaluated pointwise on the
-physical grid, transformed, and dealiased once.  Advection of a velocity
+physical grid and transformed once; the forward transform projects them
+onto the retained 2/3-rule band.  Advection of a velocity
 takes the rotational form (v.grad)v = grad(|v|^2/2) - v x curl v, whose
 gradient term is added per mode (``_advection``).  The rhs are assembled
 in arrays they allocate themselves, each operation in the order of the
@@ -51,7 +52,6 @@ from .spectral import (
     grad,
     l2_norm,
     laplacian,
-    pointwise,
     to_physical,
 )
 
@@ -155,7 +155,7 @@ def _lamb(vel_ph: np.ndarray, vel: SpectralField, out: np.ndarray) -> np.ndarray
 def _advection(vel: SpectralField, vel_ph: np.ndarray, rest_ph: np.ndarray | None = None,
                gradient: bool = True) -> SpectralField:
     """
-    -(vel.grad)vel + rest, dealiased once, in the rotational form
+    -(vel.grad)vel + rest, on the retained band, in the rotational form
 
         -(v.grad)v = v x curl v - grad(|v|^2/2):
 
@@ -172,7 +172,6 @@ def _advection(vel: SpectralField, vel_ph: np.ndarray, rest_ph: np.ndarray | Non
         tmp = np.empty_like(energy)
         for i in range(g.dim):
             out[i] -= np.multiply(g.ikvec[i], energy, out=tmp)
-    out *= g.dealias_keep
     return SpectralField(g, out)
 
 
@@ -186,9 +185,8 @@ def _dot(w: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def _transport(grid: Grid, dens_ph: np.ndarray, vel_ph: np.ndarray) -> SpectralField:
-    """-div(dens * vel), dealiased, in divergence form: exact zero mean."""
+    """-div(dens * vel), on the retained band, in divergence form: exact zero mean."""
     out = _dot(grid.ikvec, from_physical(grid, np.multiply(dens_ph, vel_ph)).coeffs)
-    out *= grid.dealias_keep
     return SpectralField(grid, np.negative(out, out=out))
 
 
@@ -469,7 +467,7 @@ def effective_mixed_velocity(state: StateEulerNS, eps: float = 1.0) -> SpectralF
     u_ph = to_physical(state.u)
     v_ph = to_physical(state.v)
     w = eps * rho_ph / _mixture(rho_ph, a_ph, eps)
-    return pointwise(g, w * u_ph + (1.0 - w) * v_ph)
+    return from_physical(g, w * u_ph + (1.0 - w) * v_ph)
 
 
 def relative_velocity_residual(state: StateEulerNS, params: PhysParams) -> float:

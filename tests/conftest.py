@@ -25,12 +25,33 @@ def full_lattice(grid):
     return np.stack(np.meshgrid(*([k1] * grid.dim), indexing="ij"))
 
 
+def band_index(grid):
+    """Per-axis indices of the stored band |k_i| <= grid.kcut, 0 <= k_d, in a
+    half or full spectrum, in the band's order: wavenumbers 0..m, -m..-1 on
+    the leading axes and 0..m on the last."""
+    n, m = grid.npts, grid.kcut
+    return [np.r_[0 : m + 1, n - m : n]] * (grid.dim - 1) + [np.arange(m + 1)]
+
+
+def band_of(grid, spectrum):
+    """The stored band of a half or full spectrum, by fancy indexing."""
+    return spectrum[(Ellipsis,) + np.ix_(*band_index(grid))]
+
+
+def half_of(grid, band):
+    """The half spectrum, shape (N,)*(d-1) + (N//2+1,), of band coefficients."""
+    half_shape = (grid.npts,) * (grid.dim - 1) + (grid.npts // 2 + 1,)
+    out = np.zeros(band.shape[: -grid.dim] + half_shape, dtype=np.complex128)
+    out[(Ellipsis,) + np.ix_(*band_index(grid))] = band
+    return out
+
+
 def random_field(grid, rng, ncomp=1, band=None):
-    """Dealiased random real field; band optionally restricts |xi|.
+    """Random real field on the retained band; band optionally restricts |xi|.
 
     The coefficients are drawn on the full lattice, symmetrized there and cut
-    to the stored half spectrum, so a seed names the same field as it did
-    when fields were stored on the full lattice."""
+    to the stored band, so a seed names the same field as it did when fields
+    were stored on the full lattice."""
     shape = grid.shape if ncomp == 1 else (ncomp,) + grid.shape
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     kint = full_lattice(grid)
@@ -43,7 +64,7 @@ def random_field(grid, rng, ncomp=1, band=None):
     if band is not None:
         kmag = (2.0 * np.pi / grid.length) * np.sqrt(np.sum(kint**2, axis=0))
         c = c * ((kmag >= band[0]) & (kmag <= band[1]))
-    f = SpectralField(grid, np.ascontiguousarray(c[..., : grid.npts // 2 + 1]))
+    f = SpectralField(grid, band_of(grid, c))
     idx = (0,) * grid.dim
     if ncomp == 1:
         f.coeffs[idx] = np.real(f.coeffs[idx])

@@ -17,6 +17,8 @@ same arithmetic in fewer array passes; the tests compare the two.
 import numpy as np
 from scipy.signal import fftconvolve
 
+from conftest import band_of, half_of
+
 from driftflow import linear
 from driftflow.besov import dyadic_sum, phi as lp_phi
 from driftflow.errors import InsufficientSamples, QuadratureNotConverged
@@ -31,7 +33,6 @@ from driftflow.spectral import (
     grad,
     laplacian,
     leray_project,
-    pointwise,
     to_physical,
 )
 from driftflow.studies import _error_norms
@@ -73,13 +74,14 @@ def uncentered_spectrum(centered: np.ndarray) -> np.ndarray:
     return np.fft.ifftshift(centered, axes=tuple(range(d)))
 
 
-def full_spectrum(half: np.ndarray) -> np.ndarray:
+def full_spectrum(grid, band: np.ndarray) -> np.ndarray:
     """
-    The full (n,)*d coefficient array of a real field from its stored half
-    spectrum (last axis of length n//2 + 1), by c_{-k} = conj(c_k).
+    The full (n,)*d coefficient array of a real field from its stored band,
+    padded into the half spectrum (last axis of length n//2 + 1) and
+    completed by c_{-k} = conj(c_k).
     """
-    n = half.shape[0]
-    d = half.ndim
+    half = half_of(grid, band)
+    n, d = grid.npts, grid.dim
     full = np.zeros((n,) * d, dtype=np.complex128)
     full[..., : n // 2 + 1] = half
     # last indices 1 .. n/2-1 mirrored to n-1 .. n/2+1, the other axes to -k
@@ -90,20 +92,20 @@ def full_spectrum(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def true_product_coeffs(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+def true_product_coeffs(grid, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """
-    Exact (non-circular) convolution of two half-spectrum coefficient arrays,
-    truncated back to the original lattice and returned as a half spectrum.
-    This is the alias-free product.
+    Exact (non-circular) convolution of two band coefficient arrays,
+    truncated back to the original lattice and returned on the band.  This
+    is the alias-free product.
     """
-    n = ca.shape[0]
-    a = centered_spectrum(full_spectrum(ca))
-    b = centered_spectrum(full_spectrum(cb))
+    n = grid.npts
+    a = centered_spectrum(full_spectrum(grid, ca))
+    b = centered_spectrum(full_spectrum(grid, cb))
     full = fftconvolve(a, b, mode="full")
     # full index m holds frequency m - n; keep frequencies -n/2 .. n/2 - 1
     lo = n // 2
-    sl = tuple(slice(lo, lo + n) for _ in range(ca.ndim))
-    return uncentered_spectrum(full[sl])[..., : n // 2 + 1]
+    sl = tuple(slice(lo, lo + n) for _ in range(grid.dim))
+    return band_of(grid, uncentered_spectrum(full[sl]))
 
 
 def trapz_time_l2(times, values):
@@ -145,9 +147,9 @@ def momentum_rhs_df_conservative(state: StateDF, params) -> SpectralField:
     mix = rho_ph + 1.0 + a_ph
     out = np.zeros((g.dim,) + g.spectral_shape, dtype=np.complex128)
     for i in range(g.dim):
-        row = pointwise(g, mix * v_ph[i] * v_ph)  # row i of (rho+n) v x v
+        row = from_physical(g, mix * v_ph[i] * v_ph)  # row i of (rho+n) v x v
         out[i] = -div(row).coeffs
-    press = pointwise(g, (1.0 + a_ph) ** params.gamma / params.gamma)
+    press = from_physical(g, (1.0 + a_ph) ** params.gamma / params.gamma)
     out -= grad(press).coeffs
     out += _visc(state.v, params.mu, params.lam).coeffs
     return SpectralField(g, out)
@@ -163,18 +165,18 @@ def momentum_rhs_df_nonconservative(state: StateDF, params) -> SpectralField:
     mix = rho_ph + 1.0 + a_ph
     dmix_ph = to_physical(d.rho) + to_physical(d.a)
     dv_ph = to_physical(d.v)
-    return pointwise(g, mix * dv_ph + dmix_ph * v_ph)
+    return from_physical(g, mix * dv_ph + dmix_ph * v_ph)
 
 
 def advection_advective(vel: SpectralField) -> SpectralField:
     """-(v.grad)v in the advective form, sum_j v_j d_j v_i per component,
-    dealiased."""
+    on the retained band."""
     g = vel.grid
     v_ph = to_physical(vel)
     out = np.zeros((g.dim,) + g.shape)
     for i in range(g.dim):
         out[i] = -np.sum(v_ph * to_physical(grad(vel.component(i))), axis=0)
-    return pointwise(g, out)
+    return from_physical(g, out)
 
 
 def df_limit_checkpointed(tau_list, grid, recipe, T, dt, sample_dt, mu=1.0, lam=0.0):
@@ -268,12 +270,11 @@ def _advection_ref(vel, vel_ph, rest_ph=None, gradient=True):
         energy = from_physical(g, 0.5 * np.einsum("i...,i...->...", vel_ph, vel_ph)).coeffs
         for i in range(g.dim):
             out[i] -= g.ikvec[i] * energy
-    out *= g.dealias_keep
     return SpectralField(g, out)
 
 
 def _div_flux_ref(grid, dens_ph, vel_ph):
-    return div(pointwise(grid, dens_ph[np.newaxis] * vel_ph))
+    return div(from_physical(grid, dens_ph[np.newaxis] * vel_ph))
 
 
 def pressure_slope_ratio(x, gamma):

@@ -70,6 +70,20 @@ class TestGenerator:
         other = family_for(Grid(2, 16, 3.0 * np.pi))
         assert other is not fam and other.grid.length == 3.0 * np.pi
 
+    @pytest.mark.parametrize("grid, j_range", [
+        (Grid(3, 16, 2.0 * np.pi), (-3, 5)),
+        (Grid(2, 48, 8.0 * np.pi), (-5, 4)),
+        (Grid(3, 48, 2.0 * np.pi), (-3, 7)),
+        (Grid(2, 64, 16.0 * np.pi), (-6, 4)),
+        (Grid(2, 128, 32.0 * np.pi), (-7, 4)),
+    ])
+    def test_block_range_covers_the_stored_band(self, grid, j_range):
+        # the family spans the radii of the stored band, |k_i| <= (N-1)//3,
+        # and no block that would see only modes beyond it
+        fam = family_for(grid)
+        assert (fam.j_min, fam.j_max) == j_range
+        assert np.max(grid.kmag) * 4.0 / 3.0 <= 2.0 ** (fam.j_max - 1)
+
     def test_partition_on_wide_radius_range(self):
         r = np.geomspace(1e-4, 64.0, 3000)
         js = np.arange(-16, 9)
@@ -78,7 +92,7 @@ class TestGenerator:
 
 
 def single_mode_field(grid, kint_vec, amp=1.0):
-    # last component 0: both partners lie in the stored half spectrum
+    # last component 0: both partners lie in the stored band
     assert kint_vec[-1] == 0
     c = np.zeros(grid.spectral_shape, dtype=np.complex128)
     c[tuple(kint_vec)] = amp / 2.0

@@ -237,6 +237,31 @@ class TestCLI:
         assert main(["besov", str(snap), "--norms", norms]) == 2
         assert last_error(capsys)["error"] == "UnsupportedP"
 
+    def test_besov_out_under_a_file_is_a_config_error_before_any_norm(
+            self, tmp_path, capsys, monkeypatch):
+        snap, _ = mode_snapshot(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        calls = []
+        monkeypatch.setattr(cli, "besov_norm", lambda *a: calls.append(a) or 0.0)
+        rc = main(["besov", str(snap), "--out", str(blocker / "n.csv")])
+        assert rc == 2
+        assert last_error(capsys)["error"] == "ConfigError"
+        assert calls == []
+
+    def test_coefficient_outside_the_band_exit_is_machine_readable(self, tmp_path, capsys):
+        # a version-2 file whose half spectrum holds a mode beyond the 2/3 rule
+        grid = Grid(2, 16, 2.0 * np.pi)
+        snap = tmp_path / "wide.dfs"
+        save_field(snap, SpectralField(grid, np.ones(grid.spectral_shape, dtype=np.complex128)))
+        raw = bytearray(snap.read_bytes())
+        raw[-16:] = np.array([1.0 + 0.0j], dtype="<c16").tobytes()  # index (N-1, N/2)
+        snap.write_bytes(bytes(raw))
+        assert main(["besov", str(snap)]) == 2
+        err = last_error(capsys)
+        assert err["error"] == "FormatVersionMismatch"
+        assert "outside the retained band" in err["message"]
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_snapshot_exit_is_machine_readable(self, kind, tmp_path, capsys):
         path = tmp_path / "missing.dfs" if kind == "missing" else tmp_path

@@ -62,3 +62,16 @@ def test_hot_loops_call_the_traced_names(probe_module):
         assert probe.calls(key) > 0, key
     assert probe.calls("integrate.propagator_apply") == 3 * 3
     assert probe.calls("systems.rhs") == 3 * 2
+
+
+@pytest.mark.parametrize("system", ["euler_ns", "df", "tns"])
+def test_table_and_mask_share_the_lattice_of_kmag(system):
+    # the probe samples table entries and |xi| by one flat index into
+    # grid.kmag, filtered by grid.dealias_keep; all of them must be one shape
+    integ = importlib.import_module("driftflow.integrate")
+    grid = Grid(3, 16, 2.0 * np.pi)
+    tab = integ.precompute_mode_propagators(grid, PhysParams(tau=0.2), 0.05, system)
+    arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
+    assert arrays
+    assert grid.dealias_keep.shape == grid.kmag.shape
+    assert all(a.shape == grid.kmag.shape for a in arrays)

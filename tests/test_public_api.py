@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "Grid", "LPFamily", "PhysParams", "RadialInit", "RateFit", "SYSTEMS", "ScalarObserver",
     "Scheme", "SpectralField", "StateDF", "StateEulerNS", "StateTNS", "Stepper",
     "StudyResult", "SystemSpec", "Trajectory", "besov_norm", "chemin_lerner_norm",
-    "continuum_linear_norms", "curl", "dealias", "decay_study", "df_limit_study", "div",
+    "continuum_linear_norms", "curl", "decay_study", "df_limit_study", "div",
     "dyadic_block", "dyadic_sum", "effective_mixed_velocity", "eigenvalues", "family_for",
     "from_physical", "grad", "hybrid_norm", "incompressible_study", "integrate", "laplacian",
     "leray_project", "load_field", "precompute_mode_propagators", "propagator", "rate_fit",

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from driftflow.spectral import (
     Grid,
     SpectralField,
     curl,
-    dealias,
     div,
     from_physical,
     grad,
@@ -25,8 +25,8 @@ from driftflow.spectral import (
     to_physical,
 )
 
-from conftest import full_lattice, random_field
-from oracles import true_product_coeffs
+from conftest import band_of, full_lattice, half_of, random_field
+from oracles import full_spectrum, true_product_coeffs
 
 # the 2D and 3D grids of the property tests
 GRIDS = [Grid(2, 16, 2.0 * np.pi), Grid(2, 24, 5.0), Grid(3, 8, 2.0 * np.pi), Grid(3, 12, 3.0)]
@@ -37,7 +37,7 @@ PROPERTY = settings(max_examples=25, deadline=None)
 
 class TestGrid:
     def test_field_roundtrip(self, grid2d, rng):
-        v = rng.standard_normal(grid2d.shape)
+        v = to_physical(random_field(grid2d, rng))
         f = from_physical(grid2d, v)
         back = to_physical(f)
         assert np.max(np.abs(back - v)) < 1e-12 * np.max(np.abs(v))
@@ -51,16 +51,17 @@ class TestGrid:
             Grid(4, 16, 1.0)
 
     def test_zero_mode_exists_and_lattice_unique(self, grid2d):
-        # every (k1, k2) of the half lattice appears exactly once, and every
-        # mode of the full lattice is stored either itself or by its partner -k
-        n = grid2d.npts
+        # every (k1, k2) of the stored band appears exactly once, the zero
+        # mode at index 0, and every mode of the full lattice inside the 2/3
+        # rule is stored either itself or by its partner -k
+        m = grid2d.kcut
         kints = grid2d.kint.reshape(2, -1).T
         seen = set(map(tuple, kints))
-        assert (0, 0) in seen
-        assert len(seen) == n * (n // 2 + 1)
-        wrap = lambda k: tuple((np.asarray(k) + n // 2) % n - n // 2)
+        assert tuple(grid2d.kint[:, 0, 0]) == (0, 0)
+        assert len(seen) == (2 * m + 1) * (m + 1) == grid2d.kmag.size
         for k in full_lattice(grid2d).reshape(2, -1).T.astype(int):
-            assert wrap(k) in seen or wrap(-k) in seen
+            if np.max(np.abs(k)) <= m:
+                assert tuple(k) in seen or tuple(-k) in seen
 
     def test_wavenumber_scale(self):
         g = Grid(2, 16, 4.0 * np.pi)
@@ -127,17 +128,24 @@ class TestLeray:
 
 class TestDealias:
     def test_already_dealiased_unchanged(self, grid2d, rng):
+        # a band field reaches the inverse transform unchanged, padded with
+        # zeros, and the forward transform's band cut returns it
         f = random_field(grid2d, rng)
-        again = dealias(f)
-        assert np.array_equal(f.coeffs, again.coeffs)
+        x = to_physical(f)
+        assert np.array_equal(x, sfft.irfftn(half_of(grid2d, f.coeffs), s=grid2d.shape,
+                                             norm="forward"))
+        again = from_physical(grid2d, x)
+        assert np.max(np.abs(again.coeffs - f.coeffs)) < 1e-13 * np.max(np.abs(f.coeffs))
 
     def test_noise_support_after_dealias(self, grid2d, rng):
-        shape = grid2d.spectral_shape
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        f = dealias(SpectralField(grid2d, c))
-        kint = grid2d.kint
+        # the transform of noise keeps no mode beyond the 2/3-rule cutoff
+        f = from_physical(grid2d, rng.standard_normal(grid2d.shape))
+        assert np.max(np.abs(grid2d.kint)) <= grid2d.npts / 3
+        full = full_spectrum(grid2d, f.coeffs)
+        kint = full_lattice(grid2d)
         outside = (np.abs(kint[0]) > grid2d.npts / 3) | (np.abs(kint[1]) > grid2d.npts / 3)
-        assert np.max(np.abs(f.coeffs[outside])) == 0.0
+        assert np.max(np.abs(full[outside])) == 0.0
+        assert np.count_nonzero(f.coeffs) == f.coeffs.size
 
     def test_product_matches_true_convolution(self, rng):
         # quadratic products of resolved modes must be alias-free
@@ -145,8 +153,7 @@ class TestDealias:
         a = random_field(g, rng)
         b = random_field(g, rng)
         prod = multiply(a, b)
-        exact = true_product_coeffs(a.coeffs, b.coeffs)
-        exact = exact * g.dealias_keep
+        exact = true_product_coeffs(g, a.coeffs, b.coeffs)
         assert np.max(np.abs(prod.coeffs - exact)) < 1e-13
 
 
@@ -178,22 +185,55 @@ class TestSnapshot(object):
         save_field(path, f)
         raw = path.read_bytes()
         assert struct.unpack("<I", raw[4:8])[0] == 2
-        assert len(raw) == struct.calcsize("<4sIIIIId") + 16 * f.coeffs.size
+        # the file holds the half spectrum: the band padded with zeros
+        assert len(raw) == struct.calcsize("<4sIIIIId") + 16 * 3 * np.prod(grid3d.half_shape)
         back = load_field(path)
         assert back.coeffs.shape == (3,) + grid3d.spectral_shape
         assert np.array_equal(back.coeffs, f.coeffs)
 
     @pytest.mark.parametrize("ncomp", [1, 2])
     def test_v1_full_spectrum_loads(self, grid2d, rng, tmp_path, ncomp):
-        # a version-1 file holds the full Hermitian array, fftn(values) / N**d
-        shape = grid2d.shape if ncomp == 1 else (ncomp,) + grid2d.shape
-        values = rng.standard_normal(shape)
-        full = np.fft.fftn(values, axes=(-2, -1)) / grid2d.npts**2
+        # a version-1 file holds the full Hermitian array, fftn(values) / N**d,
+        # here of a band-limited field
+        f = random_field(grid2d, rng, ncomp)
+        values = to_physical(f)
+        full = np.stack([full_spectrum(grid2d, c) for c in f.coeffs.reshape(
+            (-1,) + grid2d.spectral_shape)]).reshape(f.coeffs.shape[:-2] + grid2d.shape)
         path = tmp_path / "v1.dfs"
         path.write_bytes(_v1_header(grid2d, ncomp) + full.astype("<c16").tobytes())
         back = load_field(path)
         assert back.coeffs.shape[-2:] == grid2d.spectral_shape
+        assert np.array_equal(back.coeffs, f.coeffs)
         assert np.max(np.abs(to_physical(back) - values)) < 1e-12
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_half_spectrum_file_roundtrips_bit_exact(self, grid3d, rng, tmp_path, vector):
+        # a version-2 file as written when fields were stored by their whole
+        # half spectrum: a band-limited field, zeros outside the band
+        f = random_field(grid3d, rng, ncomp=3 if vector else 1)
+        half = half_of(grid3d, f.coeffs)
+        path = tmp_path / "half.dfs"
+        raw = struct.pack("<4sIIIIId", b"DFS1", 2, 0x01020304, 3, grid3d.npts,
+                          f.num_components, grid3d.length) + half.astype("<c16").tobytes()
+        path.write_bytes(raw)
+        back = load_field(path)
+        assert np.array_equal(back.coeffs, band_of(grid3d, half))
+        save_field(tmp_path / "again.dfs", back)
+        assert (tmp_path / "again.dfs").read_bytes() == raw
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_coefficient_outside_the_band_rejected(self, grid2d, tmp_path, version):
+        shape = grid2d.shape if version == 1 else grid2d.half_shape
+        c = np.zeros(shape, dtype="<c16")
+        c[0, 0] = 1.0
+        c[0, grid2d.kcut + 1] = 1e-300
+        path = tmp_path / "outside.dfs"
+        header = _v1_header(grid2d, 1)
+        if version == 2:
+            header = header[:4] + struct.pack("<I", 2) + header[8:]
+        path.write_bytes(header + c.tobytes())
+        with pytest.raises(FormatVersionMismatch, match="outside the retained band"):
+            load_field(path)
 
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("change", [-16, -1, 16])
@@ -224,7 +264,7 @@ def _v1_header(grid, ncomp):
 
 
 # ---------------------------------------------------------------------------
-# properties of the half-spectrum layout, on 2D and 3D grids
+# properties of the band layout, on 2D and 3D grids
 
 
 def _rng_field(grid, seed, ncomp=1):
@@ -235,8 +275,8 @@ class TestHalfSpectrumProperties:
     @PROPERTY
     @given(grid=grids, seed=seeds, ncomp=st.sampled_from([1, 2]))
     def test_transform_roundtrip(self, grid, seed, ncomp):
-        shape = grid.shape if ncomp == 1 else (ncomp,) + grid.shape
-        x = np.random.default_rng(seed).standard_normal(shape)
+        # band-limited samples: the forward transform keeps only the band
+        x = to_physical(_rng_field(grid, seed, ncomp))
         f = from_physical(grid, x)
         assert f.coeffs.shape[-grid.dim:] == grid.spectral_shape
         back = to_physical(f)
@@ -246,18 +286,45 @@ class TestHalfSpectrumProperties:
     @PROPERTY
     @given(grid=grids, seed=seeds, ncomp=st.sampled_from([1, 2]))
     def test_l2_norm_equals_quadrature(self, grid, seed, ncomp):
-        # undealiased samples load every last-axis plane, the Nyquist included
-        shape = grid.shape if ncomp == 1 else (ncomp,) + grid.shape
-        x = np.random.default_rng(seed).standard_normal(shape)
+        # band-limited samples load every stored plane of the band
+        x = to_physical(_rng_field(grid, seed, ncomp))
         quad = np.sqrt(grid.cell_volume * np.sum(x**2))
         assert abs(l2_norm(from_physical(grid, x)) - quad) < 1e-12 * quad
 
     @PROPERTY
     @given(grid=grids, seed=seeds)
     def test_dealias_is_a_projection(self, grid, seed):
+        # the forward transform cuts to the band; cutting again changes
+        # nothing but roundoff
         x = np.random.default_rng(seed).standard_normal(grid.shape)
-        once = dealias(from_physical(grid, x))
-        assert np.array_equal(dealias(once).coeffs, once.coeffs)
+        once = from_physical(grid, x)
+        twice = from_physical(grid, to_physical(once))
+        assert np.max(np.abs(twice.coeffs - once.coeffs)) < 1e-13 * np.max(np.abs(once.coeffs))
+
+    @PROPERTY
+    @given(grid=grids, seed=seeds, ncomp=st.sampled_from([1, 2]))
+    def test_from_physical_is_the_band_of_rfftn(self, grid, seed, ncomp):
+        shape = grid.shape if ncomp == 1 else (ncomp,) + grid.shape
+        x = np.random.default_rng(seed).standard_normal(shape)
+        full = sfft.rfftn(x, axes=tuple(range(-grid.dim, 0)), norm="forward")
+        assert np.array_equal(from_physical(grid, x).coeffs, band_of(grid, full))
+
+    @PROPERTY
+    @given(grid=grids, seed=seeds)
+    def test_scalar_after_vector_reads_a_fresh_padding(self, grid, seed):
+        # to_physical reuses one zeroed buffer per grid and leading shape; a
+        # scalar after a vector (and after a first scalar) is transformed as
+        # from a freshly padded array, bit for bit
+        rng = np.random.default_rng(seed)
+        w = random_field(grid, rng, ncomp=grid.dim)
+        f, g = random_field(grid, rng), random_field(grid, rng)
+        axes = tuple(range(-grid.dim, 0))
+        to_physical(w)
+        to_physical(g)
+        for field in (f, w):
+            want = sfft.irfftn(half_of(grid, field.coeffs), s=grid.shape, axes=axes,
+                               norm="forward")
+            assert np.array_equal(to_physical(field), want)
 
     @PROPERTY
     @given(grid=grids, seed=seeds)
@@ -275,13 +342,12 @@ class TestHalfSpectrumProperties:
     @PROPERTY
     @given(grid=grids, seed=seeds)
     def test_operator_outputs_are_real_fields(self, grid, seed):
-        # every output is the half spectrum of its own real samples
+        # every output is the band of its own real samples
         rng = np.random.default_rng(seed)
         f = random_field(grid, rng)
         g = random_field(grid, rng)
         w = random_field(grid, rng, ncomp=grid.dim)
-        outs = [laplacian(f), grad(f), div(w), curl(w), multiply(f, g), dealias(f),
-                *leray_project(w)]
+        outs = [laplacian(f), grad(f), div(w), curl(w), multiply(f, g), *leray_project(w)]
         for out in outs:
             again = from_physical(grid, to_physical(out))
             scale = max(np.max(np.abs(out.coeffs)), 1.0)
@@ -326,14 +392,16 @@ class TestCurl:
 class TestGridLayout:
     def test_spectral_shapes(self):
         for grid in GRIDS:
-            n, d = grid.npts, grid.dim
-            half = (n,) * (d - 1) + (n // 2 + 1,)
-            assert grid.spectral_shape == half
+            n, d, m = grid.npts, grid.dim, (grid.npts - 1) // 3
+            band = (2 * m + 1,) * (d - 1) + (m + 1,)
+            assert grid.spectral_shape == band
+            assert grid.half_shape == (n,) * (d - 1) + (n // 2 + 1,)
             for arr in (grid.kmag, grid.k2, grid.dealias_keep):
-                assert arr.shape == half
+                assert arr.shape == band
+            assert grid.dealias_keep.all()
             assert (grid.kvec.shape == grid.ikvec.shape == grid.ehat.shape == grid.kint.shape
-                    == (d,) + half)
-            assert grid.parseval_weight.tolist() == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
+                    == (d,) + band)
+            assert grid.parseval_weight.tolist() == [1.0] + [2.0] * m
 
     def test_field_of_full_lattice_shape_rejected(self, grid2d):
         with pytest.raises(ValueError):

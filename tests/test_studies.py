@@ -167,7 +167,7 @@ def test_heat_benchmark_exponent():
 
 
 def test_decay_flux_is_a_real_field():
-    # the dealiased flux has empty Nyquist planes: its coefficient norm is
+    # the flux is stored on its band, which holds no Nyquist plane: its norm is
     # the physical quadrature of its samples
     grid = Grid(2, 32, 8.0 * np.pi)
     flux = _mass_flux(euler_ns_state(grid, DataRecipe(seed=3)))
