@@ -24,6 +24,10 @@ _CHI_HI = 4.0 / 3.0
 
 _SUPPORTED_P = (1.0, 2.0, 4.0, np.inf)
 
+# the low/high split of every hybrid and split norm: low blocks j <= J0,
+# high blocks j >= J0 - 1
+J0 = 0
+
 
 def chi(r):
     """Radial low-pass generator: 1 on r <= 3/4, 0 on r >= 4/3, and between
@@ -110,9 +114,10 @@ class BlockTimeSeries:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(np.diff(self.times) <= 0):
+        # written so that a NaN fails them
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("sample times must be strictly increasing")
-        if np.any(self.values < 0):
+        if not np.all(self.values >= 0):
             raise ValueError("block norms must be nonnegative")
 
 
@@ -166,12 +171,11 @@ def dyadic_sum(b: np.ndarray, js: np.ndarray, s: float, r: float = 1.0):
     return np.sum(w**r, axis=0) ** (1.0 / r)
 
 
-def _low_high(b: np.ndarray, js: np.ndarray, j0: int, s_low: float, s_high: float,
-              r: float = 1.0):
-    """The split every low/high norm uses: the low part sums j <= j0 at index
-    s_low, the high part sums j >= j0 - 1 at index s_high (the blocks
-    j0 - 1 and j0 count in both)."""
-    low, high = js <= j0, js >= j0 - 1
+def _low_high(b: np.ndarray, js: np.ndarray, s_low: float, s_high: float, r: float = 1.0):
+    """The split every low/high norm uses: the low part sums j <= J0 at index
+    s_low, the high part sums j >= J0 - 1 at index s_high (the blocks
+    J0 - 1 and J0 count in both)."""
+    low, high = js <= J0, js >= J0 - 1
     return dyadic_sum(b[low], js[low], s_low, r), dyadic_sum(b[high], js[high], s_high, r)
 
 
@@ -183,30 +187,23 @@ def besov_norm(f: SpectralField, s: float, p: float = 2.0, r: float = 1.0) -> fl
     return float(dyadic_sum(block_lp_spectrum(f, p), family_for(f.grid).j_values, s, r))
 
 
-def split_low_high(
-    f: SpectralField,
-    s_low: float,
-    s_high: float | None = None,
-    j0: int = 0,
-    p: float = 2.0,
-    r: float = 1.0,
-) -> tuple[float, float]:
+def split_low_high(f: SpectralField, s_low: float, s_high: float | None = None,
+                   r: float = 1.0) -> tuple[float, float]:
     """
-    Low/high parts of the Besov norm (the split of ``_low_high``), the high
-    part at index s_high (default s_low).  An eps-threshold split uses
-    j0 = floor(log2(1/eps)).
+    Low/high parts of the L2-based Besov norm (the split of ``_low_high``),
+    the high part at index s_high (default s_low).
     """
-    lo, hi = _low_high(block_lp_spectrum(f, p), family_for(f.grid).j_values, j0, s_low,
+    lo, hi = _low_high(block_l2_spectrum(f), family_for(f.grid).j_values, s_low,
                        s_low if s_high is None else s_high, r)
     return float(lo), float(hi)
 
 
-def hybrid_norm(f: SpectralField, s: float, s_prime: float, j0: int = 0) -> float:
+def hybrid_norm(f: SpectralField, s: float, s_prime: float) -> float:
     """
     Norm of the intersection space (s < s') or the sum space (s > s'),
     reconstructed from the low/high split: low part at s, high part at s'.
     """
-    lo, hi = split_low_high(f, s, s_prime, j0=j0)
+    lo, hi = split_low_high(f, s, s_prime)
     return lo + hi
 
 
@@ -225,27 +222,21 @@ def _time_lr(values: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
     return np.trapezoid(values**rho, times, axis=-1) ** (1.0 / rho)
 
 
-def chemin_lerner_norm(series: BlockTimeSeries, rho: float, s: float, r: float = 1.0) -> float:
+def chemin_lerner_norm(series: BlockTimeSeries, rho: float, s: float) -> float:
     """Time-then-frequency norm: per block the L^rho-in-time norm, then the
-    weighted l^r sum over blocks."""
-    return float(dyadic_sum(_time_lr(series.values, series.times, rho), series.j_values, s, r))
+    weighted l^1 sum over blocks."""
+    return float(dyadic_sum(_time_lr(series.values, series.times, rho), series.j_values, s))
 
 
-def chemin_lerner_low_high(
-    series: BlockTimeSeries,
-    rho: float,
-    s_low: float,
-    s_high: float,
-    j0: int = 0,
-    r: float = 1.0,
-) -> tuple[float, float]:
+def chemin_lerner_low_high(series: BlockTimeSeries, rho: float, s_low: float,
+                           s_high: float) -> tuple[float, float]:
     """The time-then-frequency norm split into its low and high parts."""
-    lo, hi = _low_high(_time_lr(series.values, series.times, rho), series.j_values, j0,
-                       s_low, s_high, r)
+    lo, hi = _low_high(_time_lr(series.values, series.times, rho), series.j_values,
+                       s_low, s_high)
     return float(lo), float(hi)
 
 
-def hybrid_time_l1_norm(series: BlockTimeSeries, s: float, s_prime: float, j0: int = 0) -> float:
+def hybrid_time_l1_norm(series: BlockTimeSeries, s: float, s_prime: float) -> float:
     """L1-in-time norm of the intersection/sum-space norm (low at s, high at s')."""
-    lo, hi = _low_high(series.values, series.j_values, j0, s, s_prime)
+    lo, hi = _low_high(series.values, series.j_values, s, s_prime)
     return float(_time_lr(lo + hi, series.times, 1.0))

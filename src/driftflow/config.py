@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -96,10 +97,12 @@ class RunConfig:
             self.params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.horizon < 0:
-            raise ConfigError("horizon must be nonnegative")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ConfigError(f"horizon must be finite and nonnegative, not {self.horizon}")
+        for name in ("dt", "sample_dt"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, not {value}")
         return self
 
     def grid(self) -> Grid:

@@ -18,6 +18,9 @@ from .spectral import (Grid, SpectralField, _band_of, _lattice, from_physical, l
                        to_physical)
 from .systems import StateDF, StateEulerNS, StateTNS, system_spec
 
+# height of the density bump that ``coupled_euler_ns_data`` scales by tau
+COUPLED_BUMP_HEIGHT = 1e-5
+
 
 @dataclass(frozen=True)
 class DataRecipe:
@@ -230,18 +233,18 @@ def lowpass_vector(f: SpectralField, radius: float) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * keep)
 
 
-def coupled_euler_ns_data(df0: StateDF, tau: float, bump_height: float = 1e-5) -> StateEulerNS:
+def coupled_euler_ns_data(df0: StateDF, tau: float) -> StateEulerNS:
     """
     Relaxation-coupled two-phase data built from drift-flux data: the
     dispersed density gains a tau-sized positive bump, the dispersed velocity
     is the low-pass of v at radius 1/sqrt(tau), and (a, v) are shared.
 
     With v carrying a critical-norm-flat spectrum, the initial two-system
-    distance scales like sqrt(tau); the bump height is kept small so the
-    tau-linear density offset never dominates that scaling.
+    distance scales like sqrt(tau); the bump height COUPLED_BUMP_HEIGHT is
+    kept small so the tau-linear density offset never dominates that scaling.
     """
     g = df0.grid
-    bump = bump_scalar(g, None, g.length / 10.0, bump_height)
+    bump = bump_scalar(g, None, g.length / 10.0, COUPLED_BUMP_HEIGHT)
     rho = SpectralField(g, df0.rho.coeffs + tau * bump.coeffs)
     u = lowpass_vector(df0.v, 1.0 / np.sqrt(tau))
     return StateEulerNS(rho, u, df0.a.copy(), df0.v.copy()).validate()

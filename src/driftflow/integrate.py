@@ -359,8 +359,8 @@ def integrate(
     are those of a run without it.  Stability itself never requires the
     ramp since the drag is integrated exactly.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and nonnegative, not {T}")
     grid = state0.grid
     dt_main = scheme.dt if scheme.dt is not None else estimate_dt(state0)
     dt_main = min(dt_main, T) if T > 0 else dt_main
@@ -437,7 +437,7 @@ def integrate(
                     take_sample(state, t)
                 while next_sample <= t + 1e-12:
                     next_sample += sample_dt
-    if steps_done % VALIDATE_EVERY != 0:
+    if steps_done == 0 or steps_done % VALIDATE_EVERY != 0:
         guard(state, times[-1])
 
     drift = 0.0

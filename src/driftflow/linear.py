@@ -48,6 +48,11 @@ from .errors import QuadratureNotConverged
 _DEG_RELGAP = 1e-6      # closed form requires |lambda2-lambda3| > 1e-6 * xi^2
 _DEG_RESONANCE = 1e-6   # ... and |1 + lambda/kappa| > 1e-6
 
+# the continuum norms integrate over radii R_LO <= |xi| <= R_HI, each block
+# to a relative tolerance QUAD_RTOL
+R_LO, R_HI = 1e-4, 64.0
+QUAD_RTOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # scalar kernels, vectorized and cancellation-free
@@ -283,16 +288,14 @@ def continuum_block_l2(
     mu: float,
     lam: float,
     js: np.ndarray,
-    r_lo: float = 1e-4,
-    r_hi: float = 64.0,
-    rtol: float = 1e-6,
 ) -> dict[str, np.ndarray]:
     """
     Per-block L2 norms over continuous frequency of the linear solution at
     time t, for the components u, a, v and the relative velocity u - v.
 
-    Each dyadic annulus is integrated with Gauss-Legendre nodes, doubled
-    until the result is stable to ``rtol`` (QuadratureNotConverged otherwise).
+    Each dyadic annulus, clipped to [R_LO, R_HI], is integrated with
+    Gauss-Legendre nodes, doubled until the result is stable to QUAD_RTOL
+    (QuadratureNotConverged otherwise).
     At each level one integrand call covers the nodes of every annulus that
     has not yet converged.
     """
@@ -319,7 +322,7 @@ def continuum_block_l2(
 
     todo = []  # the open annuli: column, bounds and 2^j
     for col, j in enumerate(js):
-        lo, hi = max(0.75 * 2.0**j, r_lo), min(8.0 / 3.0 * 2.0**j, r_hi)
+        lo, hi = max(0.75 * 2.0**j, R_LO), min(8.0 / 3.0 * 2.0**j, R_HI)
         if lo < hi:
             todo.append((col, lo, hi, 2.0**j))
     prev = {}
@@ -335,7 +338,7 @@ def continuum_block_l2(
         for b, (col, lo, hi, s) in enumerate(todo):
             val = 0.5 * (hi - lo) * vals[:, b] @ w
             if col in prev:
-                tol = rtol * max(float(np.max(np.abs(val))), 1e-300)
+                tol = QUAD_RTOL * max(float(np.max(np.abs(val))), 1e-300)
                 if float(np.max(np.abs(val - prev[col]))) <= tol:
                     out[:, col] = np.sqrt(np.maximum(pref * val.real, 0.0))
                     continue
@@ -356,17 +359,15 @@ def continuum_linear_norms(
     tau: float,
     mu: float = 1.0,
     lam: float = -1.0,
-    r_lo: float = 1e-4,
-    r_hi: float = 64.0,
 ) -> dict[str, float]:
     """
     Besov-type norms over continuous frequency of the linear solution:
     the summed (r=1) norms at index sigma for u, a, v and u - v, plus the
     weak (r=inf) norms at index sigma1.
     """
-    j_min, j_max = block_j_range(r_lo, r_hi)
+    j_min, j_max = block_j_range(R_LO, R_HI)
     js = np.arange(j_min, j_max + 1)
-    blocks = continuum_block_l2(init, t, d, tau, mu, lam, js, r_lo, r_hi)
+    blocks = continuum_block_l2(init, t, d, tau, mu, lam, js)
     out = {}
     for name in ("u", "a", "v", "rel"):
         out[f"{name}_B{sigma}_21"] = float(dyadic_sum(blocks[name], js, sigma))
@@ -382,13 +383,13 @@ def cutoff_profile(r):
     return chi(np.asarray(r, dtype=np.float64))
 
 
-def power_law_profile(exponent: float, r_ref: float = 1.0):
-    """r -> (r/r_ref)^exponent * cutoff(r); the low-frequency power-law class."""
+def power_law_profile(exponent: float):
+    """r -> r^exponent * cutoff(r); the low-frequency power-law class."""
 
     def f(r):
         r = np.asarray(r, dtype=np.float64)
         with np.errstate(divide="ignore"):
-            p = np.where(r > 0, (r / r_ref) ** exponent, 0.0 if exponent > 0 else 1.0)
+            p = np.where(r > 0, r ** exponent, 0.0 if exponent > 0 else 1.0)
         return p * cutoff_profile(r)
 
     return f

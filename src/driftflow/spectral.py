@@ -233,11 +233,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
-    def component(self, i: int) -> "SpectralField":
-        if not self.is_vector:
-            raise ValueError("component() on a scalar field")
-        return SpectralField(self.grid, self.coeffs[i])
-
     def zero_mode(self):
         idx = (0,) * self.grid.dim
         if self.is_vector:
@@ -396,11 +391,6 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 def linf_norm(f: SpectralField) -> float:
     return lp_norm(f, np.inf)
-
-
-def mean(f: SpectralField):
-    """Torus average, i.e. the zero Fourier mode."""
-    return np.real(f.zero_mode())
 
 
 def multiply(a: SpectralField, b: SpectralField) -> SpectralField:

@@ -78,7 +78,8 @@ def rate_fit(xs, ys) -> RateFit:
     """Ordinary least squares of log(y) on log(x); needs >= 3 positive pairs."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if np.any(xs <= 0) or np.any(ys <= 0):
+    # written so that a NaN fails it
+    if not (np.all(xs > 0) and np.all(ys > 0)):
         raise NonPositiveData("log-log fit requires positive data")
     return _least_squares(np.log(xs), np.log(ys))
 
@@ -87,7 +88,7 @@ def exp_rate_fit(times, values) -> RateFit:
     """Least squares of log(value) on time; ``slope`` is the decay rate
     (sign flipped, positive when the data decays)."""
     values = np.asarray(values, dtype=np.float64)
-    if np.any(values <= 0):
+    if not np.all(values > 0):
         raise NonPositiveData("exponential fit requires positive data")
     fit = _least_squares(np.asarray(times, dtype=np.float64), np.log(values))
     return dataclasses.replace(fit, slope=-fit.slope)

@@ -455,18 +455,17 @@ def system_spec(name: str) -> SystemSpec:
 # derived quantities
 
 
-def effective_mixed_velocity(state: StateEulerNS, eps: float = 1.0) -> SpectralField:
+def effective_mixed_velocity(state: StateEulerNS) -> SpectralField:
     """
     Density-weighted velocity combining the two phases into one unknown:
-    (eps rho u + (1 + eps a) v)/(1 + eps rho + eps a), which is
-    (rho u + n v)/(rho + n) at eps = 1.
+    (rho u + n v)/(rho + n), n = 1 + a.
     """
     g = state.grid
     rho_ph = to_physical(state.rho)
     a_ph = to_physical(state.a)
     u_ph = to_physical(state.u)
     v_ph = to_physical(state.v)
-    w = eps * rho_ph / _mixture(rho_ph, a_ph, eps)
+    w = rho_ph / _mixture(rho_ph, a_ph, 1.0)
     return from_physical(g, w * u_ph + (1.0 - w) * v_ph)
 
 

@@ -175,7 +175,7 @@ def advection_advective(vel: SpectralField) -> SpectralField:
     v_ph = to_physical(vel)
     out = np.zeros((g.dim,) + g.shape)
     for i in range(g.dim):
-        out[i] = -np.sum(v_ph * to_physical(grad(vel.component(i))), axis=0)
+        out[i] = -np.sum(v_ph * to_physical(grad(SpectralField(g, vel.coeffs[i]))), axis=0)
     return from_physical(g, out)
 
 
@@ -346,7 +346,7 @@ def rhs_tns_ref(state, params, include_linear=True):
     return StateTNS(dvarrho, dw)
 
 
-def continuum_block_l2_loop(init, t, d, tau, mu, lam, js, r_lo=1e-4, r_hi=64.0, rtol=1e-6):
+def continuum_block_l2_loop(init, t, d, tau, mu, lam, js):
     """``linear.continuum_block_l2`` one block at a time: each annulus has
     its own integrand call at every Gauss level until it converges."""
     kappa = 1.0 / tau
@@ -371,8 +371,8 @@ def continuum_block_l2_loop(init, t, d, tau, mu, lam, js, r_lo=1e-4, r_hi=64.0, 
 
     out = np.zeros((4, len(js)))
     for col, j in enumerate(js):
-        lo = max(0.75 * 2.0**j, r_lo)
-        hi = min(8.0 / 3.0 * 2.0**j, r_hi)
+        lo = max(0.75 * 2.0**j, linear.R_LO)
+        hi = min(8.0 / 3.0 * 2.0**j, linear.R_HI)
         if lo >= hi:
             continue
         prev = None
@@ -382,7 +382,7 @@ def continuum_block_l2_loop(init, t, d, tau, mu, lam, js, r_lo=1e-4, r_hi=64.0, 
             val = 0.5 * (hi - lo) * (integrand(r) * lp_phi(r / 2.0**j) ** 2) @ w
             if prev is not None:
                 scale = max(float(np.max(np.abs(val))), 1e-300)
-                if float(np.max(np.abs(val - prev))) <= rtol * scale:
+                if float(np.max(np.abs(val - prev))) <= linear.QUAD_RTOL * scale:
                     prev = val
                     break
             prev = val

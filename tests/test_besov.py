@@ -211,7 +211,7 @@ class TestSplits:
     def test_field_in_low_blocks_has_no_high_part(self):
         grid = Grid(2, 64, 16.0 * np.pi)
         f = single_mode_field(grid, (1, 0))  # radius 1/8, block j = -3
-        lo, hi = split_low_high(f, s_low=0.0, j0=0)
+        lo, hi = split_low_high(f, s_low=0.0)
         assert hi == 0.0
         assert lo > 0.0
 
@@ -219,24 +219,13 @@ class TestSplits:
         f = random_field(grid2d, rng)
         f.coeffs[0, 0] = 0.0
         n = besov_norm(f, 0.5)
-        lo, hi = split_low_high(f, 0.5, j0=0)
+        lo, hi = split_low_high(f, 0.5)
         fam = family_for(grid2d)
         blocks = block_l2_spectrum(f)
         js = list(fam.j_values)
         # blocks j = -1, 0 are counted by both parts
         overlap = sum(2.0 ** (0.5 * j) * blocks[js.index(j)] for j in (-1, 0))
         assert n - 1e-12 <= lo + hi <= n + overlap + 1e-12
-
-    def test_eps_threshold_split(self):
-        grid = Grid(2, 64, 2.0 * np.pi)
-        f = single_mode_field(grid, (4, 0))  # radius 4
-        j0 = 3   # 2^j0 = 8 = 1/eps at eps = 1/8
-        lo, hi = split_low_high(f, 0.0, j0=j0)
-        # the mode at radius 4 lives in blocks j = 1, 2, both <= j0 = 3
-        assert np.isclose(lo, l2_norm(f), rtol=1e-10)
-        blocks = block_l2_spectrum(f)
-        js = family_for(grid).j_values
-        assert hi <= np.sum(blocks[js >= j0 - 1]) + 1e-12
 
     def test_hybrid_intersection_identity(self, grid2d, rng):
         f = random_field(grid2d, rng)
@@ -273,7 +262,7 @@ class TestCheminLerner:
     def test_r1_matches_frequency_first_ordering(self, grid2d, rng):
         ts = np.linspace(0.0, 3.0, 400)
         _, series = decaying_series(grid2d, rng, ts)
-        a = chemin_lerner_norm(series, 1.0, s=0.5, r=1.0)
+        a = chemin_lerner_norm(series, 1.0, s=0.5)
         b = lebesgue_besov_time_norm(series, 1.0, s=0.5, r=1.0)
         assert abs(a - b) < 1e-12 * max(a, 1.0)
 
@@ -282,9 +271,16 @@ class TestCheminLerner:
         ts = np.linspace(0.0, 3.0, 400)
         f, series = decaying_series(grid2d, rng, ts)
         series.values += 0.1 * np.abs(np.sin(np.outer(series.j_values, ts)))
-        tilde = chemin_lerner_norm(series, 2.0, s=0.0, r=1.0)
+        tilde = chemin_lerner_norm(series, 2.0, s=0.0)
         plain = lebesgue_besov_time_norm(series, 2.0, s=0.0, r=1.0)
         assert tilde >= plain - 1e-12
+
+    @pytest.mark.parametrize("where", ["values", "times"])
+    def test_nan_series_rejected(self, grid2d, rng, where):
+        _, series = decaying_series(grid2d, rng, np.linspace(0.0, 1.0, 5))
+        getattr(series, where)[..., 2] = np.nan
+        with pytest.raises(ValueError):
+            BlockTimeSeries(series.times, series.j_values, series.values)
 
     def test_insufficient_samples(self, grid2d, rng):
         f = random_field(grid2d, rng)
@@ -330,7 +326,6 @@ PROPERTY = settings(max_examples=25, deadline=None)
 grids = st.sampled_from(GRIDS)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 indices = st.floats(min_value=-2.0, max_value=2.0)
-thresholds = st.integers(min_value=-3, max_value=3)
 
 
 def constant_series(f, ts):
@@ -358,20 +353,20 @@ class TestSplitProperties:
         assert np.allclose(block_l2_spectrum(f), per_block, rtol=1e-12, atol=0.0)
 
     @PROPERTY
-    @given(grid=grids, seed=seeds, s_low=indices, s_high=indices, j0=thresholds)
-    def test_space_split_is_the_sup_in_time_split(self, grid, seed, s_low, s_high, j0):
+    @given(grid=grids, seed=seeds, s_low=indices, s_high=indices)
+    def test_space_split_is_the_sup_in_time_split(self, grid, seed, s_low, s_high):
         f = random_field(grid, np.random.default_rng(seed))
         series = constant_series(f, np.linspace(0.0, 1.0, 3))
-        lo, hi = split_low_high(f, s_low, s_high, j0=j0)
-        lo_t, hi_t = chemin_lerner_low_high(series, np.inf, s_low, s_high, j0=j0)
+        lo, hi = split_low_high(f, s_low, s_high)
+        lo_t, hi_t = chemin_lerner_low_high(series, np.inf, s_low, s_high)
         assert np.isclose(lo_t, lo, rtol=1e-13, atol=0.0)
         assert np.isclose(hi_t, hi, rtol=1e-13, atol=0.0)
 
     @PROPERTY
-    @given(grid=grids, seed=seeds, s=indices, s_prime=indices, j0=thresholds)
-    def test_hybrid_l1_over_unit_interval(self, grid, seed, s, s_prime, j0):
+    @given(grid=grids, seed=seeds, s=indices, s_prime=indices)
+    def test_hybrid_l1_over_unit_interval(self, grid, seed, s, s_prime):
         f = random_field(grid, np.random.default_rng(seed))
         series = constant_series(f, np.linspace(0.0, 1.0, 4))
-        expected = hybrid_norm(f, s, s_prime, j0=j0)
-        assert np.isclose(hybrid_time_l1_norm(series, s, s_prime, j0=j0), expected,
+        expected = hybrid_norm(f, s, s_prime)
+        assert np.isclose(hybrid_time_l1_norm(series, s, s_prime), expected,
                           rtol=1e-13, atol=0.0)

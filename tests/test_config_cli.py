@@ -189,6 +189,25 @@ class TestCLI:
         assert last_error(capsys)["error"] == "ConfigError"
         assert calls == []
 
+    @pytest.mark.parametrize("flags,config", [
+        (["--horizon", "nan"], None),
+        (["--horizon", "inf"], None),
+        (["--dt", "nan"], None),
+        ([], '{"horizon": NaN}'),
+        ([], '{"sample_dt": Infinity}'),
+    ], ids=["horizon-nan", "horizon-inf", "dt-nan", "config-horizon-nan",
+            "config-sample-dt-inf"])
+    def test_non_finite_run_length_is_a_config_error_before_any_run(
+            self, flags, config, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **kw: calls.append(a))
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            flags = flags + ["--config", str(tmp_path / "cfg.json")]
+        assert main(["simulate", "--outdir", str(tmp_path), *flags]) == 2
+        assert last_error(capsys)["error"] == "ConfigError"
+        assert calls == []
+
     @pytest.mark.parametrize("argv", [
         ["relaxation", "--seed", "5"],
         ["verify", "--tau", "0.1"],

@@ -264,6 +264,18 @@ class TestIntegrate:
         with pytest.raises(Diverged):
             integrate(st, 10 * 0.05, Scheme(dt=0.05), PAR, "euler_ns")
 
+    def test_nan_coefficient_raises_diverged_without_a_step(self):
+        st = euler_ns_state(GRID, DataRecipe(seed=1))
+        st.v.coeffs[0, 1, 2] = np.nan
+        with pytest.raises(Diverged):
+            integrate(st, 0.0, Scheme(dt=0.05), PAR, "euler_ns")
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_horizon_must_be_finite_and_nonnegative(self, T):
+        st = euler_ns_state(GRID, DataRecipe(seed=1))
+        with pytest.raises(ValueError):
+            integrate(st, T, Scheme(dt=0.05), PAR, "euler_ns")
+
     def test_block_series_carries_p(self):
         st = euler_ns_state(GRID, DataRecipe(seed=10, amplitude=0.05))
         traj = integrate(st, 0.2, Scheme(dt=0.05), PAR, "euler_ns",

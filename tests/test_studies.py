@@ -49,6 +49,14 @@ class TestRateFit:
         with pytest.raises(NonPositiveData):  # no spread in x
             rate_fit([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("fit,xs,ys", [
+        (rate_fit, [1.0, 2.0, 3.0], [1.0, np.nan, 3.0]),
+        (exp_rate_fit, [0.0, 1.0, 2.0], [1.0, np.nan, 0.5]),
+    ], ids=["rate", "exp"])
+    def test_nan_data_rejected(self, fit, xs, ys):
+        with pytest.raises(NonPositiveData):
+            fit(xs, ys)
+
     def test_exp_rate_fit(self):
         t = np.linspace(0.0, 5.0, 20)
         fit = exp_rate_fit(t, 3.0 * np.exp(-1.7 * t))

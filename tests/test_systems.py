@@ -172,7 +172,7 @@ class TestDriftFlux:
         )
         adv = np.zeros_like(v_ph)
         for i in range(GRID.dim):
-            adv[i] = np.sum(v_ph * to_physical(grad(st.v.component(i))), axis=0)
+            adv[i] = np.sum(v_ph * to_physical(grad(SpectralField(GRID, st.v.coeffs[i]))), axis=0)
         pcoef = (1.0 + a_ph) ** (PAR.gamma - 2.0)
         dv_ref = from_physical(GRID, -adv - (pcoef - 1.0) * to_physical(grad(st.a))
                            + (1.0 / (1.0 + a_ph) - 1.0) * to_physical(
@@ -225,7 +225,7 @@ class TestTNS:
         dE = np.sum(w_ph * dw_ph) * GRID.cell_volume
         grad_sq = 0.0
         for i in range(GRID.dim):
-            gw = to_physical(grad(st.w.component(i)))
+            gw = to_physical(grad(SpectralField(GRID, st.w.coeffs[i])))
             grad_sq += np.sum(gw**2) * GRID.cell_volume
         assert abs(dE + PAR.mu * grad_sq) < 1e-8 * max(abs(dE), 1.0)
 
