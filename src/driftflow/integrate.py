@@ -390,6 +390,8 @@ def integrate(
 
     if sample_dt is None:
         sample_dt = max(dt_main, T / 2000.0) if T > 0 else 1.0
+    elif not (np.isfinite(sample_dt) and sample_dt > 0):
+        raise ValueError(f"sample_dt must be finite and positive, not {sample_dt}")
 
     times = [0.0]
     samples = {o.name: [] for o in observers}

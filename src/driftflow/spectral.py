@@ -100,8 +100,8 @@ class Grid:
             raise ValueError("dim must be 2 or 3")
         if self.npts < 8 or self.npts % 2 != 0:
             raise ValueError("npts must be even and >= 8")
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ValueError("length must be positive and finite")
 
         n, m = self.npts, (self.npts - 1) // 3
         kint, kvec, k2 = _lattice(self)
@@ -260,8 +260,8 @@ class PhysParams:
     Physical parameters: friction time tau, Mach number eps, viscosities,
     and the pressure exponent gamma for P(n) = n**gamma / gamma.
 
-    ``mu > 0`` and ``2*mu + lam > 0`` are required; P'(1) = 1 holds for every
-    gamma by construction.
+    Every parameter is finite, ``mu > 0`` and ``2*mu + lam > 0`` are
+    required; P'(1) = 1 holds for every gamma by construction.
     """
 
     tau: float = 1.0
@@ -271,6 +271,9 @@ class PhysParams:
     gamma: float = 3.0
 
     def __post_init__(self):
+        for name in ("tau", "eps", "mu", "lam", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not self.eps > 0:

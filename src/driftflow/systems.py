@@ -24,9 +24,18 @@ are closed-form.  Composite nonlinearities are evaluated pointwise on the
 physical grid and transformed once; the forward transform projects them
 onto the retained 2/3-rule band.  Advection of a velocity
 takes the rotational form (v.grad)v = grad(|v|^2/2) - v x curl v, whose
-gradient term is added per mode (``_advection``).  The rhs are assembled
-in arrays they allocate themselves, each operation in the order of the
-plain expression of its term, so the result is that expression's to the bit.
+gradient term is added per mode (``_advection``).
+
+In the two-phase family the pressure coefficient depends on the gas alone,
+so the nonlinear pressure term is a gradient, g(a) grad a = -grad G(a)
+(scaled: G(a) = [((1+eps a)^(gamma-1) - 1)/(gamma-1) - eps a]/eps^2, the
+enthalpy beyond its linear part).  G joins |v|^2/2 before that term's
+forward transform, so grad a is never taken to the grid.  The drift-flux
+coefficient also depends on rho and keeps the form coef * grad a.  The rhs
+are assembled in arrays they allocate themselves, each operation in the
+order of the plain expression of its term, so the result is that
+expression's to the bit, and each physical array is released after its
+last use.
 
 Every rhs takes ``include_linear``: with False it returns only the part
 complementary to the constant-coefficient symbol that an exponential
@@ -153,22 +162,28 @@ def _lamb(vel_ph: np.ndarray, vel: SpectralField, out: np.ndarray) -> np.ndarray
 
 
 def _advection(vel: SpectralField, vel_ph: np.ndarray, rest_ph: np.ndarray | None = None,
-               gradient: bool = True) -> SpectralField:
+               potential_ph: np.ndarray | None = None, gradient: bool = True) -> SpectralField:
     """
-    -(vel.grad)vel + rest, on the retained band, in the rotational form
+    -(vel.grad)vel + rest - grad(potential), on the retained band, in the
+    rotational form
 
         -(v.grad)v = v x curl v - grad(|v|^2/2):
 
     the samples of v x curl v are added into ``rest_ph`` (which is
-    overwritten) and share its transform, and the gradient of |v|^2/2 is
-    subtracted per mode.  ``gradient=False`` leaves it out, for a caller
-    whose Leray projection removes it anyway.
+    overwritten) and share its transform, and the gradient of
+    |v|^2/2 + potential, one transform, is subtracted per mode.
+    ``gradient=False`` leaves it out, for a caller whose Leray projection
+    removes it anyway.
     """
     g = vel.grid
     phys = _lamb(vel_ph, vel, np.zeros_like(vel_ph) if rest_ph is None else rest_ph)
     out = from_physical(g, phys).coeffs
+    del phys
     if gradient:
-        energy = from_physical(g, 0.5 * np.einsum("i...,i...->...", vel_ph, vel_ph)).coeffs
+        energy = 0.5 * np.einsum("i...,i...->...", vel_ph, vel_ph)
+        if potential_ph is not None:
+            energy += potential_ph
+        energy = from_physical(g, energy).coeffs
         tmp = np.empty_like(energy)
         for i in range(g.dim):
             out[i] -= np.multiply(g.ikvec[i], energy, out=tmp)
@@ -232,24 +247,42 @@ def _pressure_slope_ratio(x: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def _pressure_and_viscous(state, a_ph: np.ndarray, rho_ph: np.ndarray | None, m_ph: np.ndarray,
-                          eps: float, params: PhysParams):
-    """-((pr - rho - a)/m) grad a + (1/m - 1) visc, with pr = a*ratio(eps a)
-    and rho = 0 for None, and the viscous term."""
-    coef = _pressure_slope_ratio(eps * a_ph, params.gamma)
-    coef *= a_ph
-    if rho_ph is not None:
-        coef -= rho_ph
-    np.subtract(a_ph, coef, out=coef)
-    coef /= m_ph
-    rest = to_physical(grad(state.a))
-    rest *= coef
-    visc_v = _visc(state.v, params.mu, params.lam)
-    visc_ph = to_physical(visc_v)
-    np.divide(1.0, m_ph, out=coef)
-    coef -= 1.0
-    visc_ph *= coef
-    rest += visc_ph
+ENTHALPY_SERIES = 0.1   # |x| below which _enthalpy_excess_ratio sums its series
+ENTHALPY_TERMS = 16     # terms of that series at most
+
+
+def _enthalpy_excess_ratio(x: np.ndarray, gamma: float) -> np.ndarray:
+    """
+    q(x) = [((1+x)^(gamma-1) - 1)/(gamma-1) - x]/x^2, completed with
+    (gamma-2)/2 at x = 0, so that G(a) = a^2 q(eps a): its binomial series
+    where |x| < ENTHALPY_SERIES, the closed form (through expm1 and log1p)
+    elsewhere.  When gamma - 1 is a whole number the series ends and is q
+    itself, so it serves everywhere; at gamma = 3, q = 1/2.
+    """
+    g1 = gamma - 1.0
+    # c_k = binom(gamma-1, k+2)/(gamma-1), up to the first that vanishes
+    coeffs = [0.5 * (g1 - 1.0)]
+    while coeffs[-1] != 0.0 and len(coeffs) < ENTHALPY_TERMS:
+        k = len(coeffs) - 1
+        coeffs.append(coeffs[-1] * (g1 - k - 2.0) / (k + 3.0))
+    out = np.zeros_like(x)
+    for c in reversed(coeffs):
+        out *= x
+        out += c
+    if coeffs[-1] != 0.0:
+        far = ~(np.abs(x) < ENTHALPY_SERIES)
+        xf = x[far]
+        out[far] = (np.expm1(g1 * np.log1p(xf)) / g1 - xf) / xf**2
+    return out
+
+
+def _viscous_rest(v: SpectralField, m_ph: np.ndarray, params: PhysParams):
+    """(1/m - 1) visc on the grid, and visc = mu lap v + (mu+lam) grad div v."""
+    visc_v = _visc(v, params.mu, params.lam)
+    rest = to_physical(visc_v)
+    weight = np.divide(1.0, m_ph)
+    weight -= 1.0
+    rest *= weight
     return rest, visc_v
 
 
@@ -282,14 +315,23 @@ def rhs_euler_ns_scaled(
     du = _advection(state.u, u_ph)
     da = _transport(g, a_ph, v_ph)
 
-    # rest of dv/dt: -((pr - a)/m) grad a + (1/m - 1) visc + rho (u - v)/(tau m)
-    rest, visc_v = _pressure_and_viscous(state, a_ph, None, m_ph, eps, params)
+    # rest of dv/dt: (1/m - 1) visc + rho (u - v)/(tau m); the pressure
+    # term -((pr - a)/m) grad a is -grad G(a), with G = a^2 q(eps a)
+    enthalpy = _enthalpy_excess_ratio(eps * a_ph, params.gamma)
+    enthalpy *= a_ph
+    enthalpy *= a_ph
+    del a_ph
+    rest, visc_v = _viscous_rest(state.v, m_ph, params)
     drag = np.subtract(u_ph, v_ph)
+    del u_ph
     drag *= rho_ph
+    del rho_ph
     m_ph *= tau
     drag /= m_ph
+    del m_ph
     rest += drag
-    dv = _advection(state.v, v_ph, rest)
+    del drag
+    dv = _advection(state.v, v_ph, rest, enthalpy)
 
     if include_linear:
         du = SpectralField(g, du.coeffs - (1.0 / (eps * tau)) * (state.u.coeffs - state.v.coeffs))
@@ -332,8 +374,19 @@ def rhs_df_scaled(state: StateDF, eps: float, params: PhysParams, include_linear
     drho = _transport(g, rho_ph, v_ph)
     da = _transport(g, a_ph, v_ph)
 
-    # rest of dv/dt: -((pr - rho - a)/m) grad a + (1/m - 1) visc
-    rest, visc_v = _pressure_and_viscous(state, a_ph, rho_ph, m_ph, eps, params)
+    # rest of dv/dt: (1/m - 1) visc - ((pr - rho - a)/m) grad a
+    rest, visc_v = _viscous_rest(state.v, m_ph, params)
+    coef = _pressure_slope_ratio(eps * a_ph, params.gamma)
+    coef *= a_ph
+    coef -= rho_ph
+    np.subtract(a_ph, coef, out=coef)
+    coef /= m_ph
+    del rho_ph, a_ph, m_ph
+    press = to_physical(grad(state.a))
+    press *= coef
+    del coef
+    rest += press
+    del press
     dv = _advection(state.v, v_ph, rest)
 
     if include_linear:
@@ -458,15 +511,16 @@ def system_spec(name: str) -> SystemSpec:
 def effective_mixed_velocity(state: StateEulerNS) -> SpectralField:
     """
     Density-weighted velocity combining the two phases into one unknown:
-    (rho u + n v)/(rho + n), n = 1 + a.
+    (rho u + n v)/(rho + n) = v + w (u - v), n = 1 + a, w = rho/(rho + n),
+    with the product w (u - v) projected onto the band.
     """
     g = state.grid
     rho_ph = to_physical(state.rho)
-    a_ph = to_physical(state.a)
-    u_ph = to_physical(state.u)
-    v_ph = to_physical(state.v)
-    w = rho_ph / _mixture(rho_ph, a_ph, 1.0)
-    return from_physical(g, w * u_ph + (1.0 - w) * v_ph)
+    w = rho_ph / _mixture(rho_ph, to_physical(state.a), 1.0)
+    del rho_ph
+    slip = to_physical(state.u - state.v)
+    slip *= w
+    return SpectralField(g, state.v.coeffs + from_physical(g, slip).coeffs)
 
 
 def relative_velocity_residual(state: StateEulerNS, params: PhysParams) -> float:
@@ -486,10 +540,11 @@ def relative_velocity_residual(state: StateEulerNS, params: PhysParams) -> float
     rho_ph = to_physical(state.rho)
     n_ph = 1.0 + a_ph
     fa = -a_ph / n_ph
-    ga = 1.0 - n_ph ** (gamma - 2.0)
+    # g(a) grad a = -grad G(a), the enthalpy form the rhs takes
+    enthalpy = from_physical(g, a_ph**2 * _enthalpy_excess_ratio(a_ph, gamma))
     visc_ph = to_physical(_visc(state.v, mu, lam))
     rel_ph = u_ph - v_ph
-    f1_ph = ga * to_physical(grad(state.a)) + fa * visc_ph
+    f1_ph = fa * visc_ph
     f2_ph = fa * rho_ph * rel_ph / tau
     rhs_f = (_advection(state.u, u_ph, -(rho_ph / tau) * rel_ph - f1_ph - f2_ph)
              - _advection(state.v, v_ph))
@@ -498,6 +553,7 @@ def relative_velocity_residual(state: StateEulerNS, params: PhysParams) -> float
         -(state.u.coeffs - state.v.coeffs) / tau
         + grad(state.a).coeffs
         - _visc(state.v, mu, lam).coeffs
+        + grad(enthalpy).coeffs
         + rhs_f.coeffs,
     )
     scale = max(l2_norm(lhs), l2_norm(out), 1e-300)

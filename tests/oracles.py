@@ -9,13 +9,15 @@ paths.
 
 The last section keeps the plain forms of the stepper's hot loops, one
 numpy expression per term: the propagator applied through the split into
-parallel and perpendicular parts, the three rhs families, and the
-continuum quadrature block by block.  The production code computes the
+parallel and perpendicular parts, the three rhs families (the two-phase
+one in the enthalpy form the production code takes and in the coefficient
+form it replaced), and the continuum quadrature block by block.  The production code computes the
 same arithmetic in fewer array passes; the tests compare the two.
 """
 
 import numpy as np
 from scipy.signal import fftconvolve
+from scipy.special import binom
 
 from conftest import band_of, half_of
 
@@ -288,7 +290,53 @@ def pressure_slope_ratio(x, gamma):
     return out
 
 
+def enthalpy_excess_ratio(x, gamma):
+    """q(x) = [((1+x)^(gamma-1) - 1)/(gamma-1) - x]/x^2: the binomial series
+    summed term by term for |x| < 0.1, the closed form elsewhere; the series
+    alone when gamma - 1 is a whole number, where it ends."""
+    g1 = gamma - 1.0
+    series = sum(binom(g1, k + 2) / g1 * x**k for k in range(16))
+    if g1 == round(g1):
+        return series
+    out = np.empty_like(x)
+    small = np.abs(x) < 0.1
+    out[small] = series[small]
+    xb = x[~small]
+    out[~small] = (np.expm1(g1 * np.log1p(xb)) / g1 - xb) / xb**2
+    return out
+
+
+def rhs_euler_ns_scaled_enthalpy_ref(state, eps, tau, params, include_linear=True):
+    """The two-phase rhs with its nonlinear pressure term as -grad G(a),
+    G(a) = a^2 q(eps a), transformed with |v|^2/2."""
+    g = state.grid
+    mu, lam, gamma = params.mu, params.lam, params.gamma
+    kappa = 1.0 / (eps * tau)
+    rho_ph = to_physical(state.rho)
+    u_ph = to_physical(state.u)
+    v_ph = to_physical(state.v)
+    a_ph = to_physical(state.a)
+    m_ph = _gas_density(a_ph, eps)
+    drho = -1.0 * _div_flux_ref(g, rho_ph, u_ph)
+    du = _advection_ref(state.u, u_ph)
+    da = -1.0 * _div_flux_ref(g, a_ph, v_ph)
+    visc_v = _visc(state.v, mu, lam)
+    visc_ph = to_physical(visc_v)
+    drag_v = rho_ph * (u_ph - v_ph) / (tau * m_ph)
+    dv = _advection_ref(state.v, v_ph, (1.0 / m_ph - 1.0) * visc_ph + drag_v)
+    enthalpy = from_physical(g, a_ph**2 * enthalpy_excess_ratio(eps * a_ph, gamma))
+    dv = SpectralField(g, dv.coeffs - grad(enthalpy).coeffs)
+    if include_linear:
+        du = SpectralField(g, du.coeffs - kappa * (state.u.coeffs - state.v.coeffs))
+        da = da - (1.0 / eps) * div(state.v)
+        dv = SpectralField(g, dv.coeffs - grad(state.a).coeffs / eps + visc_v.coeffs)
+    return StateEulerNS(drho, du, da, dv)
+
+
 def rhs_euler_ns_scaled_ref(state, eps, tau, params, include_linear=True):
+    """The two-phase rhs with its nonlinear pressure term in coefficient
+    form, -((pr - a)/m) grad a; at gamma = 3 it is the enthalpy form up to
+    roundoff, at other gamma up to aliasing."""
     g = state.grid
     mu, lam, gamma = params.mu, params.lam, params.gamma
     kappa = 1.0 / (eps * tau)

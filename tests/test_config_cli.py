@@ -195,8 +195,12 @@ class TestCLI:
         (["--dt", "nan"], None),
         ([], '{"horizon": NaN}'),
         ([], '{"sample_dt": Infinity}'),
+        (["--npts", "16", "--length", "inf"], None),
+        (["--tau", "inf"], None),
+        (["--gamma", "inf"], None),
+        ([], '{"lam": Infinity}'),
     ], ids=["horizon-nan", "horizon-inf", "dt-nan", "config-horizon-nan",
-            "config-sample-dt-inf"])
+            "config-sample-dt-inf", "length-inf", "tau-inf", "gamma-inf", "config-lam-inf"])
     def test_non_finite_run_length_is_a_config_error_before_any_run(
             self, flags, config, tmp_path, monkeypatch, capsys):
         calls = []

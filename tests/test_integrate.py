@@ -276,6 +276,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(st, T, Scheme(dt=0.05), PAR, "euler_ns")
 
+    @pytest.mark.parametrize("sample_dt", [np.nan, np.inf, 0.0, -0.1])
+    def test_sample_spacing_must_be_finite_and_positive(self, sample_dt):
+        st = euler_ns_state(GRID, DataRecipe(seed=1))
+        with pytest.raises(ValueError):
+            integrate(st, 1.0, Scheme(dt=0.05), PAR, "euler_ns", sample_dt=sample_dt)
+
     def test_block_series_carries_p(self):
         st = euler_ns_state(GRID, DataRecipe(seed=10, amplitude=0.05))
         traj = integrate(st, 0.2, Scheme(dt=0.05), PAR, "euler_ns",

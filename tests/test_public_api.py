@@ -36,7 +36,7 @@ STUDY_PARAMETERS = {
     "df_limit_study": ["tau_list", "grid", "recipe", "T", "dt", "sample_dt"],
     "decay_study": ["sigma1", "grid", "recipe", "T", "dt"],
     "incompressible_study": ["eps_list", "system", "grid", "recipe", "T", "dt_cap"],
-    "linear_decay_tier": ["sigma1", "sigmas", "d", "tau", "n_t"],
+    "linear_decay_tier": ["sigma1", "sigmas", "d", "tau", "n_t", "mu", "lam"],
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from driftflow.errors import DriftflowError, FormatVersionMismatch
 from driftflow.spectral import (
     Grid,
+    PhysParams,
     SpectralField,
     curl,
     div,
@@ -50,6 +51,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(4, 16, 1.0)
 
+    @pytest.mark.parametrize("length", [np.inf, np.nan, -1.0, 0.0])
+    def test_rejects_a_length_that_is_not_finite_and_positive(self, length):
+        with pytest.raises(ValueError):
+            Grid(2, 16, length)
+
     def test_zero_mode_exists_and_lattice_unique(self, grid2d):
         # every (k1, k2) of the stored band appears exactly once, the zero
         # mode at index 0, and every mode of the full lattice inside the 2/3
@@ -66,6 +72,14 @@ class TestGrid:
     def test_wavenumber_scale(self):
         g = Grid(2, 16, 4.0 * np.pi)
         assert np.isclose(np.sort(np.unique(np.abs(g.kvec[0])))[1], 0.5)
+
+
+class TestPhysParams:
+    @pytest.mark.parametrize("name", ["tau", "eps", "mu", "lam", "gamma"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError):
+            PhysParams(**{name: value})
 
 
 class TestDerivatives:

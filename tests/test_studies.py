@@ -7,14 +7,14 @@ from driftflow import linear, studies
 from driftflow.errors import InsufficientSamples, NonPositiveData, WindowTooShort
 from driftflow.initial_data import DataRecipe, euler_ns_state
 from driftflow.integrate import BlockObserver, CheckpointObserver, Scheme, integrate
-from driftflow.spectral import Grid, PhysParams, l2_norm, to_physical
+from driftflow.besov import besov_norm
+from driftflow.spectral import Grid, PhysParams, SpectralField
 from driftflow.studies import (
     StudyResult,
     dissipation_bundle,
     exp_rate_fit,
     fit_decay_exponent,
     initial_energy_bundle,
-    _mass_flux,
     df_limit_study,
     rate_fit,
     relaxation_study,
@@ -174,10 +174,25 @@ def test_heat_benchmark_exponent():
     assert abs(fit.slope - 0.5) < 0.03
 
 
-def test_decay_flux_is_a_real_field():
-    # the flux is stored on its band, which holds no Nyquist plane: its norm is
-    # the physical quadrature of its samples
+def test_decay_profile_distance_is_the_distance_to_the_final_density():
+    # rho(t) - rho(T) is exactly int_t^T div(rho u) ds, the rhs's mass flux
     grid = Grid(2, 32, 8.0 * np.pi)
-    flux = _mass_flux(euler_ns_state(grid, DataRecipe(seed=3)))
-    quad = np.sqrt(grid.cell_volume * np.sum(to_physical(flux) ** 2))
-    assert abs(l2_norm(flux) - quad) < 1e-12 * quad
+    runs = []
+
+    def kept(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(studies, "integrate", kept)
+        res = studies.decay_study(grid=grid, T=10.0)
+    dist = res.measurements["profile_distance"]
+    assert dist[-1] == 0.0
+    (traj,) = runs
+    rho_T = traj.meta["final_state"].rho
+    assert len(dist) == len(traj.times) == len(traj.fields["rho"])
+    for d, rho in zip(dist, traj.fields["rho"]):
+        assert d == besov_norm(SpectralField(grid, rho) - rho_T, s=0.0)
+    # the linear tier is taken at the run's viscosities
+    tier = studies.linear_decay_tier(-1.0, [1.0], d=2, tau=0.2, n_t=20, mu=0.65, lam=0.7)
+    assert res.details["linear_tier"]["exponent"] == tier[1.0]["exponent_state"].slope

@@ -1,5 +1,7 @@
 """Right-hand-side structure tests for the five flow variants."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
@@ -34,6 +36,7 @@ from driftflow.systems import (
     rhs_tns,
     total_momentum_rate,
     _advection,
+    _enthalpy_excess_ratio,
     _gas_density,
     _mixture,
     _pressure_slope_ratio,
@@ -42,11 +45,13 @@ from driftflow.systems import (
 from conftest import random_field, small_field
 from oracles import (
     advection_advective,
+    enthalpy_excess_ratio,
     linear_rhs_euler_ns,
     momentum_rhs_df_conservative,
     momentum_rhs_df_nonconservative,
     pressure_slope_ratio,
     rhs_df_scaled_ref,
+    rhs_euler_ns_scaled_enthalpy_ref,
     rhs_euler_ns_scaled_ref,
     rhs_tns_ref,
 )
@@ -152,6 +157,34 @@ class TestEulerNS:
 
     def test_relative_velocity_identity_at_equilibrium(self):
         assert relative_velocity_residual(equilibrium(), PAR) == 0.0
+
+    def test_relative_velocity_identity_off_gamma_3(self):
+        # the independent formula takes the pressure term in the rhs's
+        # enthalpy form, so the identity stays at roundoff where the
+        # coefficient form differs from it by aliasing
+        par = PhysParams(tau=PAR.tau, mu=PAR.mu, lam=PAR.lam, gamma=1.4)
+        assert relative_velocity_residual(smooth_state(13), par) < 1e-13
+        assert relative_velocity_residual(smooth_state(13, amplitude=0.2), par) < 1e-13
+
+    @pytest.mark.parametrize("grid, count", [(Grid(2, 16, 2.0 * np.pi), 20),
+                                             (Grid(3, 12, 2.0 * np.pi), 31)])
+    def test_scalar_transforms_per_rhs(self, monkeypatch, grid, count):
+        # a transform of a d-component field counts as d scalar transforms;
+        # the enthalpy form takes no grad a to the grid
+        spectral = sys.modules["driftflow.spectral"]
+        state = smooth_state(3, grid=grid)
+        seen = []
+
+        def counted(fn):
+            def wrapper(x, *args, **kwargs):
+                seen.append(int(np.prod(x.shape[: -grid.dim])))
+                return fn(x, *args, **kwargs)
+            return wrapper
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(spectral.sfft, name, counted(getattr(spectral.sfft, name)))
+        rhs_euler_ns(state, PAR, include_linear=False)
+        assert sum(seen) == count
 
 
 class TestDriftFlux:
@@ -395,7 +428,7 @@ class TestPlainForms:
         recipe = DataRecipe(seed=seed, amplitude=0.05, rho_amplitude=0.05, k_band=(0.4, 4.0))
         cases = {
             "euler_ns": (lambda s: rhs_euler_ns_scaled(s, eps, 0.3, par, linear),
-                         lambda s: rhs_euler_ns_scaled_ref(s, eps, 0.3, par, linear)),
+                         lambda s: rhs_euler_ns_scaled_enthalpy_ref(s, eps, 0.3, par, linear)),
             "df": (lambda s: rhs_df_scaled(s, eps, par, linear),
                    lambda s: rhs_df_scaled_ref(s, eps, par, linear)),
             "tns": (lambda s: rhs_tns(s, par, linear), lambda s: rhs_tns_ref(s, par, linear)),
@@ -409,6 +442,33 @@ class TestPlainForms:
                 err = float(np.max(np.abs(got.fields()[name].coeffs - w.coeffs)))
                 assert err <= 1e-13 * scale, (system, name, err / scale)
             assert {k: f.coeffs.tobytes() for k, f in state.fields().items()} == before
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=strategies.sampled_from(GRIDS), seed=strategies.integers(0, 2**16),
+           eps=strategies.sampled_from([1.0, 0.1]))
+    def test_enthalpy_form_is_the_coefficient_form_at_gamma_3(self, grid, seed, eps):
+        # at gamma = 3 the coefficient is a itself, and the band of
+        # (N-1)//3 modes makes both a grad a and a^2/2 alias-free
+        par = PhysParams(tau=0.3, eps=eps, mu=0.7, lam=-0.2, gamma=3.0)
+        recipe = DataRecipe(seed=seed, amplitude=0.05, rho_amplitude=0.05, k_band=(0.4, 4.0))
+        state = euler_ns_state(grid, recipe)
+        got = rhs_euler_ns_scaled(state, eps, 0.3, par, include_linear=False).v.coeffs
+        want = rhs_euler_ns_scaled_ref(state, eps, 0.3, par, include_linear=False).v.coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("gamma", [3.0, 1.4, 2.0, 4.0, 2.5])
+    def test_enthalpy_excess_ratio_branches(self, gamma):
+        # the series below |x| = 0.1 (everywhere when it ends), the closed
+        # form from there on; both against the plain form, and q at 0
+        x = np.array([0.0, 1e-9, -1e-6, 0.0999, -0.0999, 0.1, -0.1, 0.1001, 0.5, -0.85])
+        got = _enthalpy_excess_ratio(x, gamma)
+        np.testing.assert_allclose(got, enthalpy_excess_ratio(x, gamma), rtol=1e-14, atol=0)
+        assert got[0] == 0.5 * (gamma - 2.0)
+        # the two branches meet at the switch
+        np.testing.assert_allclose(got[3:5], got[5:7], rtol=1e-3)
+        big = x[-2:]
+        closed = (((1.0 + big) ** (gamma - 1.0) - 1.0) / (gamma - 1.0) - big) / big**2
+        np.testing.assert_allclose(got[-2:], closed, rtol=1e-13)
 
     @pytest.mark.parametrize("gamma", [3.0, 1.4, 2.0])
     def test_pressure_slope_ratio_branches(self, gamma):
