@@ -30,14 +30,7 @@ from .besov import (
     hybrid_norm,
     split_low_high,
 )
-from .linear import (
-    EigenSet,
-    RadialInit,
-    continuum_linear_norms,
-    eigenvalues,
-    propagator,
-    relative_velocity_kernel,
-)
+from .linear import RadialInit, continuum_linear_norms, propagator
 from .systems import (
     StateDF,
     StateEulerNS,

@@ -103,6 +103,12 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, not {value}")
+        for name in ("amplitude", "rho_amplitude", "rho_floor", "k_lo", "k_hi", "sigma1"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, not {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, not {self.seed}")
         return self
 
     def grid(self) -> Grid:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Grid, SpectralField, _band_of, _lattice, from_physical, leray_project,
-                       to_physical)
+from .spectral import (Grid, SpectralField, _band_of, _lattice, from_physical, grad,
+                       leray_project, to_physical)
 from .systems import StateDF, StateEulerNS, StateTNS, system_spec
 
 # height of the density bump that ``coupled_euler_ns_data`` scales by tau
@@ -145,86 +145,64 @@ def positive_density(grid: Grid, rng: np.random.Generator, amplitude: float, flo
     return f
 
 
+def _gas_and_dispersed(grid: Grid, recipe: DataRecipe, rng: np.random.Generator):
+    """(rho, a, v) drawn from ``rng``.  With ``recipe.localized`` the gas
+    perturbation and the potential velocity part are bump-localized, so that
+    sound waves can spread before they wrap around the torus (the low-Mach
+    studies)."""
+    if not recipe.localized:
+        rho = positive_density(grid, rng, recipe.rho_amplitude, recipe.rho_floor)
+        a = random_scalar(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1)
+        v = random_vector(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1)
+        return rho, a, v
+    L = grid.length
+    w = recipe.bump_width or L / 14.0
+    c1 = (0.5 * L,) * grid.dim
+    a = bump_scalar(grid, c1, w, recipe.amplitude)
+    q = grad(bump_scalar(grid, c1, 1.3 * w, 1.0))
+    sup = float(np.max(np.sqrt(np.sum(to_physical(q) ** 2, axis=0))))
+    q = q * (recipe.amplitude / max(sup, 1e-300))
+    v = q + random_vector(grid, rng, 0.3 * recipe.amplitude, recipe.k_band, solenoidal=True)
+    rho = positive_density(grid, rng, recipe.rho_amplitude, recipe.rho_floor)
+    return rho, a, v
+
+
 def euler_ns_state(grid: Grid, recipe: DataRecipe) -> StateEulerNS:
     """Two-phase data; ill-prepared by default (order-one velocity mismatch
     concentrated at large scales, nonzero divergence)."""
     rng = np.random.default_rng(recipe.seed)
-    rho = positive_density(grid, rng, recipe.rho_amplitude, recipe.rho_floor)
-    a = random_scalar(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1)
-    v = random_vector(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1)
+    rho, a, v = _gas_and_dispersed(grid, recipe, rng)
     if recipe.prepared == "well":
-        u = v.copy()
+        return StateEulerNS(rho, v.copy(), a, v).validate()
+    lo, hi = recipe.mismatch_band
+    band = (lo, max(hi, 1.5 * max(lo, 2.0 * np.pi / grid.length)))
+    if recipe.localized:
+        # independent of eps but modest, so the friction transient stays
+        # subordinate to the slaved mismatch
+        mismatch = random_vector(grid, np.random.default_rng(recipe.seed + 1),
+                                 0.3 * recipe.amplitude, band)
     else:
-        lo, hi = recipe.mismatch_band
-        hi = max(hi, 1.5 * max(lo, 2.0 * np.pi / grid.length))
-        mismatch = random_vector(grid, rng, recipe.amplitude, (lo, hi), recipe.sigma1)
-        u = v + mismatch
-    return StateEulerNS(rho, u, a, v).validate()
+        mismatch = random_vector(grid, rng, recipe.amplitude, band, recipe.sigma1)
+    return StateEulerNS(rho, v + mismatch, a, v).validate()
 
 
 def df_state(grid: Grid, recipe: DataRecipe) -> StateDF:
-    rng = np.random.default_rng(recipe.seed)
-    rho = positive_density(grid, rng, recipe.rho_amplitude, recipe.rho_floor)
-    a = random_scalar(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1)
-    v = random_vector(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1)
-    return StateDF(rho, a, v).validate()
+    return StateDF(*_gas_and_dispersed(grid, recipe, np.random.default_rng(recipe.seed))).validate()
 
 
 def tns_state(grid: Grid, recipe: DataRecipe) -> StateTNS:
     rng = np.random.default_rng(recipe.seed)
     varrho = positive_density(grid, rng, recipe.rho_amplitude, recipe.rho_floor)
     w = random_vector(grid, rng, recipe.amplitude, recipe.k_band, solenoidal=True)
-    return StateTNS(varrho, w)
+    return StateTNS(varrho, w).validate()
 
 
-def localized_df_state(grid: Grid, recipe: DataRecipe) -> StateDF:
-    """
-    Bump-localized acoustic data for the low-Mach studies: the gas
-    perturbation and the potential velocity part are spatially concentrated
-    so that sound waves can spread before they wrap around the torus.
-    """
-    rng = np.random.default_rng(recipe.seed)
-    L = grid.length
-    w = recipe.bump_width or L / 14.0
-    c1 = (0.5 * L,) * grid.dim
-    a = bump_scalar(grid, c1, w, recipe.amplitude)
-    pot = bump_scalar(grid, c1, 1.3 * w, 1.0)
-    from .spectral import grad as _grad
-
-    q = _grad(pot)
-    sup = float(np.max(np.sqrt(np.sum(to_physical(q) ** 2, axis=0))))
-    q = q * (recipe.amplitude / max(sup, 1e-300))
-    background = random_vector(grid, rng, 0.3 * recipe.amplitude, recipe.k_band, solenoidal=True)
-    v = q + background
-    rho = positive_density(grid, rng, recipe.rho_amplitude, recipe.rho_floor)
-    return StateDF(rho, a, v).validate()
-
-
-def localized_euler_ns_state(grid: Grid, recipe: DataRecipe) -> StateEulerNS:
-    base = localized_df_state(grid, recipe)
-    rng = np.random.default_rng(recipe.seed + 1)
-    if recipe.prepared == "well":
-        u = base.v.copy()
-    else:
-        # ill-prepared (mismatch independent of eps) but modest, so the
-        # friction transient stays subordinate to the slaved mismatch
-        lo, hi = recipe.mismatch_band
-        hi = max(hi, 1.5 * max(lo, 2.0 * np.pi / grid.length))
-        u = base.v + random_vector(grid, rng, 0.3 * recipe.amplitude, (lo, hi))
-    return StateEulerNS(base.rho, u, base.a, base.v).validate()
+_BUILDERS = {StateEulerNS: euler_ns_state, StateDF: df_state, StateTNS: tns_state}
 
 
 def initial_state(system: str, grid: Grid, recipe: DataRecipe):
-    """Data for a registered system, by the family of its state class;
-    ``recipe.localized`` selects the bump-localized texture."""
-    cls = system_spec(system).state_cls
-    if cls is StateTNS:
-        return tns_state(grid, recipe)
-    if cls is StateDF:
-        return localized_df_state(grid, recipe) if recipe.localized else df_state(grid, recipe)
-    if recipe.localized:
-        return localized_euler_ns_state(grid, recipe)
-    return euler_ns_state(grid, recipe)
+    """Data for a registered system, by the family of its state class."""
+    return _BUILDERS[system_spec(system).state_cls](grid, recipe)
 
 
 def lowpass_vector(f: SpectralField, radius: float) -> SpectralField:

@@ -109,39 +109,6 @@ def acoustic_eigenvalues(xi, nu: float, c: float = 1.0):
     return l2, l3
 
 
-@dataclass(frozen=True)
-class EigenSet:
-    """The five per-mode eigenvalues and branch bookkeeping."""
-
-    lambda1: complex
-    lambda2: complex
-    lambda3: complex
-    lambda4: complex
-    lambda5: complex
-    complex_pair: bool
-    degenerate: bool
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lambda1, self.lambda2, self.lambda3, self.lambda4, self.lambda5])
-
-
-def eigenvalues(xi: float, tau: float, mu: float, lam: float) -> EigenSet:
-    """Closed-form eigenvalues of the compressible and incompressible blocks."""
-    nu = 2.0 * mu + lam
-    l2, l3 = acoustic_eigenvalues(np.array([xi]), nu)
-    l2, l3 = complex(l2[0]), complex(l3[0])
-    disc = (nu * xi**2) ** 2 - 4.0 * xi**2
-    return EigenSet(
-        lambda1=-1.0 / tau,
-        lambda2=l2,
-        lambda3=l3,
-        lambda4=-1.0 / tau,
-        lambda5=-mu * xi**2,
-        complex_pair=bool(disc < 0),
-        degenerate=bool(abs(l2 - l3) <= _DEG_RELGAP * max(xi**2, 1e-300)),
-    )
-
-
 def compressible_matrix(xi, kappa: float, nu: float, c: float = 1.0) -> np.ndarray:
     """The 3x3 generator acting on (phi, a, psi)."""
     return np.array(
@@ -239,16 +206,6 @@ def propagator(xi: float, tau: float, mu: float, lam: float, t: float):
     )
     g2 = np.array([[gi["uu"][0], gi["uv"][0]], [0.0, gi["vv"][0]]])
     return g3.real.astype(np.float64), g2.real.astype(np.float64)
-
-
-def relative_velocity_kernel(xi: float, tau: float, mu: float, lam: float, t: float):
-    """
-    Coefficients of the relative velocity on the initial data: the row
-    difference (phi-row minus psi-row) of the compressible propagator and
-    (Phi-row minus Psi-row) of the incompressible one.
-    """
-    g3, g2 = propagator(xi, tau, mu, lam, t)
-    return g3[0] - g3[2], g2[0] - g2[1]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +310,6 @@ def continuum_block_l2(
 def continuum_linear_norms(
     init: RadialInit,
     sigma: float,
-    sigma1: float,
     t: float,
     d: int,
     tau: float,
@@ -361,18 +317,14 @@ def continuum_linear_norms(
     lam: float = -1.0,
 ) -> dict[str, float]:
     """
-    Besov-type norms over continuous frequency of the linear solution:
-    the summed (r=1) norms at index sigma for u, a, v and u - v, plus the
-    weak (r=inf) norms at index sigma1.
+    The summed (r=1) Besov norms at index sigma over continuous frequency of
+    the linear solution: keys u, a, v, rel (u - v) and uav (u + a + v).
     """
     j_min, j_max = block_j_range(R_LO, R_HI)
     js = np.arange(j_min, j_max + 1)
     blocks = continuum_block_l2(init, t, d, tau, mu, lam, js)
-    out = {}
-    for name in ("u", "a", "v", "rel"):
-        out[f"{name}_B{sigma}_21"] = float(dyadic_sum(blocks[name], js, sigma))
-        out[f"{name}_B{sigma1}_2inf"] = float(dyadic_sum(blocks[name], js, sigma1, np.inf))
-    out["uav_B_21"] = out[f"u_B{sigma}_21"] + out[f"a_B{sigma}_21"] + out[f"v_B{sigma}_21"]
+    out = {name: float(dyadic_sum(b, js, sigma)) for name, b in blocks.items()}
+    out["uav"] = out["u"] + out["a"] + out["v"]
     return out
 
 

@@ -279,7 +279,7 @@ def df_limit_study(
 
 def linear_decay_tier(
     sigma1: float,
-    sigmas,
+    sigma: float,
     d: int = 2,
     tau: float = 0.1,
     n_t: int = 40,
@@ -287,31 +287,26 @@ def linear_decay_tier(
     lam: float = -1.0,
 ) -> dict:
     """
-    Continuum-frequency decay exponents of the linear evolution for
-    power-law data with a nonvanishing density profile at frequency zero
-    (the class that saturates the two-sided decay bounds), at the
-    viscosities ``mu``, ``lam``.
+    Continuum-frequency decay exponents at index ``sigma`` of the linear
+    evolution for power-law data with a nonvanishing density profile at
+    frequency zero (the class that saturates the two-sided decay bounds), at
+    the viscosities ``mu``, ``lam``.
     """
     init = linear.RadialInit(a0=linear.power_law_profile(-sigma1 - d / 2.0))
     ts = np.geomspace(10.0, 1000.0, n_t)
-    out = {}
-    for sigma in sigmas:
-        uav, rel = [], []
-        for t in ts:
-            n = linear.continuum_linear_norms(init, sigma, sigma1, t, d, tau, mu, lam)
-            uav.append(n["uav_B_21"])
-            rel.append(n[f"rel_B{sigma}_21"])
-        beta = 0.5 * (sigma - sigma1)
-        fit_uav = fit_decay_exponent(ts, uav)
-        fit_rel = fit_decay_exponent(ts, rel)
-        comp = np.array(uav) * (1.0 + ts) ** beta
-        out[sigma] = {
-            "exponent_state": fit_uav,
-            "exponent_relative": fit_rel,
-            "target": beta,
-            "sandwich_ratio": float(np.max(comp) / np.min(comp)),
-        }
-    return out
+    uav, rel = [], []
+    for t in ts:
+        n = linear.continuum_linear_norms(init, sigma, t, d, tau, mu, lam)
+        uav.append(n["uav"])
+        rel.append(n["rel"])
+    beta = 0.5 * (sigma - sigma1)
+    comp = np.array(uav) * (1.0 + ts) ** beta
+    return {
+        "exponent_state": fit_decay_exponent(ts, uav),
+        "exponent_relative": fit_decay_exponent(ts, rel),
+        "target": beta,
+        "sandwich_ratio": float(np.max(comp) / np.min(comp)),
+    }
 
 
 def decay_study(
@@ -386,7 +381,7 @@ def decay_study(
         fits["profile_exponent"] = fit_decay_exponent(ts[in_win][:-1], pd[:-1])
         if grid.dim == 2:
             flags.append("beyond-theorem: terminal-profile rate outside its dimension range")
-    tier = linear_decay_tier(sigma1, [sigma], d=grid.dim, tau=tau, n_t=20, mu=mu, lam=lam)[sigma]
+    tier = linear_decay_tier(sigma1, sigma, d=grid.dim, tau=tau, n_t=20, mu=mu, lam=lam)
     details["linear_tier"] = {
         "exponent": tier["exponent_state"].slope,
         "relative_exponent": tier["exponent_relative"].slope,

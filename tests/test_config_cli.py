@@ -199,8 +199,20 @@ class TestCLI:
         (["--tau", "inf"], None),
         (["--gamma", "inf"], None),
         ([], '{"lam": Infinity}'),
+        (["--seed", "-1"], None),
+        ([], '{"seed": -3}'),
+        (["--amplitude", "inf"], None),
+        (["--amplitude", "nan"], None),
+        ([], '{"rho_amplitude": Infinity}'),
+        ([], '{"rho_floor": NaN}'),
+        ([], '{"k_lo": NaN}'),
+        ([], '{"k_hi": Infinity}'),
+        ([], '{"sigma1": -Infinity}'),
     ], ids=["horizon-nan", "horizon-inf", "dt-nan", "config-horizon-nan",
-            "config-sample-dt-inf", "length-inf", "tau-inf", "gamma-inf", "config-lam-inf"])
+            "config-sample-dt-inf", "length-inf", "tau-inf", "gamma-inf", "config-lam-inf",
+            "seed-negative", "config-seed-negative", "amplitude-inf", "amplitude-nan",
+            "config-rho-amplitude-inf", "config-rho-floor-nan", "config-k-lo-nan",
+            "config-k-hi-inf", "config-sigma1-inf"])
     def test_non_finite_run_length_is_a_config_error_before_any_run(
             self, flags, config, tmp_path, monkeypatch, capsys):
         calls = []

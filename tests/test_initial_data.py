@@ -9,7 +9,8 @@ a change of layout must not change the data."""
 import numpy as np
 import pytest
 
-from driftflow.initial_data import DataRecipe, df_state, euler_ns_state
+from driftflow.errors import NonFiniteField
+from driftflow.initial_data import DataRecipe, df_state, euler_ns_state, initial_state
 from driftflow.spectral import Grid, to_physical
 
 GRIDS = {2: Grid(2, 32, 8.0 * np.pi), 3: Grid(3, 16, 2.0 * np.pi)}
@@ -83,3 +84,11 @@ def test_decay_texture_data_pinned():
                         k_band=(2.0 * np.pi / grid.length, 0.5), sigma1=-1.0,
                         mismatch_band=(2.0 * np.pi / grid.length, 0.4))
     assert_pinned(euler_ns_state(grid, recipe), grid, POINTS[2], DECAY_PINS)
+
+
+@pytest.mark.parametrize("system", ["euler_ns", "df", "tns"])
+def test_non_finite_amplitude_fails_in_the_builder(system):
+    # an infinite amplitude scales the zero coefficients to NaN; each
+    # builder's validate() rejects the state before any run starts
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteField):
+        initial_state(system, GRIDS[2], DataRecipe(amplitude=np.inf))

@@ -3,6 +3,7 @@ bindings must exist and be the ones the hot loops call, so a renamed or
 deleted one, or a path that goes round a traced name, fails here and not
 only in ``perfbench/run.py --trace 1``."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -75,3 +76,37 @@ def test_table_and_mask_share_the_lattice_of_kmag(system):
     assert arrays
     assert grid.dealias_keep.shape == grid.kmag.shape
     assert all(a.shape == grid.kmag.shape for a in arrays)
+
+
+def _driftflow_imports():
+    """(file, module, name) of each ``from driftflow... import name`` in the
+    benchmark's scripts, at any depth, and (file, module, None) of each
+    ``import driftflow...``."""
+    out = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "driftflow":
+                out += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                out += [(path.name, alias.name, None) for alias in node.names
+                        if alias.name.split(".")[0] == "driftflow"]
+    return out
+
+
+def _resolves(module, name) -> bool:
+    """Whether ``from module import name`` finds an attribute or a submodule."""
+    mod = importlib.import_module(module)
+    if name is None or hasattr(mod, name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_benchmark_imports_resolve():
+    imports = _driftflow_imports()
+    assert {f for f, _, _ in imports} >= {"checks.py", "reference.py", "run.py", "selftest.py",
+                                          "workloads.py"}
+    assert [imp for imp in imports if not _resolves(imp[1], imp[2])] == []

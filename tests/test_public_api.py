@@ -9,15 +9,15 @@ import driftflow
 from driftflow import studies
 
 PUBLIC_NAMES = [
-    "BlockObserver", "BlockTimeSeries", "CheckpointObserver", "EigenSet", "FieldObserver",
+    "BlockObserver", "BlockTimeSeries", "CheckpointObserver", "FieldObserver",
     "Grid", "LPFamily", "PhysParams", "RadialInit", "RateFit", "SYSTEMS", "ScalarObserver",
     "Scheme", "SpectralField", "StateDF", "StateEulerNS", "StateTNS", "Stepper",
     "StudyResult", "SystemSpec", "Trajectory", "besov_norm", "chemin_lerner_norm",
     "continuum_linear_norms", "curl", "decay_study", "df_limit_study", "div",
-    "dyadic_block", "dyadic_sum", "effective_mixed_velocity", "eigenvalues", "family_for",
+    "dyadic_block", "dyadic_sum", "effective_mixed_velocity", "family_for",
     "from_physical", "grad", "hybrid_norm", "incompressible_study", "integrate", "laplacian",
     "leray_project", "load_field", "precompute_mode_propagators", "propagator", "rate_fit",
-    "relative_velocity_kernel", "relative_velocity_residual", "relaxation_study", "rhs_df",
+    "relative_velocity_residual", "relaxation_study", "rhs_df",
     "rhs_df_scaled", "rhs_euler_ns", "rhs_euler_ns_scaled", "rhs_tns", "save_field",
     "split_low_high", "to_physical",
 ]
@@ -36,7 +36,7 @@ STUDY_PARAMETERS = {
     "df_limit_study": ["tau_list", "grid", "recipe", "T", "dt", "sample_dt"],
     "decay_study": ["sigma1", "grid", "recipe", "T", "dt"],
     "incompressible_study": ["eps_list", "system", "grid", "recipe", "T", "dt_cap"],
-    "linear_decay_tier": ["sigma1", "sigmas", "d", "tau", "n_t", "mu", "lam"],
+    "linear_decay_tier": ["sigma1", "sigma", "d", "tau", "n_t", "mu", "lam"],
 }
 
 
@@ -49,8 +49,6 @@ PUBLIC_PARAMETERS = {
     "BlockObserver": ["name", "selector", "p"],
     "BlockTimeSeries": ["times", "j_values", "values", "p"],
     "CheckpointObserver": ["name"],
-    "EigenSet": ["lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "complex_pair",
-                 "degenerate"],
     "FieldObserver": ["name", "selector"],
     "Grid": ["dim", "npts", "length"],
     "LPFamily": ["grid"],
@@ -70,7 +68,7 @@ PUBLIC_PARAMETERS = {
     "Trajectory": ["times", "scalars", "blocks", "fields", "checkpoints", "meta"],
     "besov_norm": ["f", "s", "p", "r"],
     "chemin_lerner_norm": ["series", "rho", "s"],
-    "continuum_linear_norms": ["init", "sigma", "sigma1", "t", "d", "tau", "mu", "lam"],
+    "continuum_linear_norms": ["init", "sigma", "t", "d", "tau", "mu", "lam"],
     "curl": ["f"],
     "decay_study": ["sigma1", "grid", "recipe", "T", "dt"],
     "df_limit_study": ["tau_list", "grid", "recipe", "T", "dt", "sample_dt"],
@@ -78,7 +76,6 @@ PUBLIC_PARAMETERS = {
     "dyadic_block": ["f", "j"],
     "dyadic_sum": ["b", "js", "s", "r"],
     "effective_mixed_velocity": ["state"],
-    "eigenvalues": ["xi", "tau", "mu", "lam"],
     "family_for": ["grid"],
     "from_physical": ["grid", "values"],
     "grad": ["f"],
@@ -91,7 +88,6 @@ PUBLIC_PARAMETERS = {
     "precompute_mode_propagators": ["grid", "params", "dt", "system"],
     "propagator": ["xi", "tau", "mu", "lam", "t"],
     "rate_fit": ["xs", "ys"],
-    "relative_velocity_kernel": ["xi", "tau", "mu", "lam", "t"],
     "relative_velocity_residual": ["state", "params"],
     "relaxation_study": ["tau_list", "grid", "recipe", "T", "dt", "sample_dt"],
     "rhs_df": ["state", "params", "include_linear"],
