@@ -171,12 +171,12 @@ def dyadic_sum(b: np.ndarray, js: np.ndarray, s: float, r: float = 1.0):
     return np.sum(w**r, axis=0) ** (1.0 / r)
 
 
-def _low_high(b: np.ndarray, js: np.ndarray, s_low: float, s_high: float, r: float = 1.0):
+def _low_high(b: np.ndarray, js: np.ndarray, s_low: float, s_high: float):
     """The split every low/high norm uses: the low part sums j <= J0 at index
     s_low, the high part sums j >= J0 - 1 at index s_high (the blocks
     J0 - 1 and J0 count in both)."""
     low, high = js <= J0, js >= J0 - 1
-    return dyadic_sum(b[low], js[low], s_low, r), dyadic_sum(b[high], js[high], s_high, r)
+    return dyadic_sum(b[low], js[low], s_low), dyadic_sum(b[high], js[high], s_high)
 
 
 def besov_norm(f: SpectralField, s: float, p: float = 2.0, r: float = 1.0) -> float:
@@ -187,14 +187,14 @@ def besov_norm(f: SpectralField, s: float, p: float = 2.0, r: float = 1.0) -> fl
     return float(dyadic_sum(block_lp_spectrum(f, p), family_for(f.grid).j_values, s, r))
 
 
-def split_low_high(f: SpectralField, s_low: float, s_high: float | None = None,
-                   r: float = 1.0) -> tuple[float, float]:
+def split_low_high(f: SpectralField, s_low: float,
+                   s_high: float | None = None) -> tuple[float, float]:
     """
     Low/high parts of the L2-based Besov norm (the split of ``_low_high``),
     the high part at index s_high (default s_low).
     """
     lo, hi = _low_high(block_l2_spectrum(f), family_for(f.grid).j_values, s_low,
-                       s_low if s_high is None else s_high, r)
+                       s_low if s_high is None else s_high)
     return float(lo), float(hi)
 
 
@@ -226,14 +226,6 @@ def chemin_lerner_norm(series: BlockTimeSeries, rho: float, s: float) -> float:
     """Time-then-frequency norm: per block the L^rho-in-time norm, then the
     weighted l^1 sum over blocks."""
     return float(dyadic_sum(_time_lr(series.values, series.times, rho), series.j_values, s))
-
-
-def chemin_lerner_low_high(series: BlockTimeSeries, rho: float, s_low: float,
-                           s_high: float) -> tuple[float, float]:
-    """The time-then-frequency norm split into its low and high parts."""
-    lo, hi = _low_high(_time_lr(series.values, series.times, rho), series.j_values,
-                       s_low, s_high)
-    return float(lo), float(hi)
 
 
 def hybrid_time_l1_norm(series: BlockTimeSeries, s: float, s_prime: float) -> float:

@@ -89,12 +89,11 @@ class RunConfig:
         return cfg
 
     def validate(self) -> "RunConfig":
-        if self.prepared not in ("ill", "well"):
-            raise ConfigError("prepared must be 'ill' or 'well'")
         try:
             system_spec(self.system)
             self.grid()
             self.params()
+            self.recipe()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not (math.isfinite(self.horizon) and self.horizon >= 0):
@@ -107,8 +106,6 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, not {value}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, not {self.seed}")
         return self
 
     def grid(self) -> Grid:

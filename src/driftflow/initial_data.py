@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Grid, SpectralField, _band_of, _lattice, from_physical, grad,
-                       leray_project, to_physical)
+from .spectral import (Grid, SpectralField, _band_of, from_physical, grad, leray_project,
+                       to_physical)
 from .systems import StateDF, StateEulerNS, StateTNS, system_spec
 
 # height of the density bump that ``coupled_euler_ns_data`` scales by tau
@@ -38,13 +38,12 @@ class DataRecipe:
     localized: bool = False          # bump-modulated data (dispersion studies)
     bump_width: float | None = None
 
-
-def _hermitian_part(c: np.ndarray) -> np.ndarray:
-    """(c_k + conj(c_{-k}))/2 on the full lattice."""
-    rc = c
-    for ax in range(c.ndim):
-        rc = np.roll(np.flip(rc, axis=ax), 1, axis=ax)
-    return 0.5 * (c + np.conj(rc))
+    def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative int, not {seed!r}")
+        if self.prepared not in ("ill", "well"):
+            raise ValueError(f"prepared must be 'ill' or 'well', not {self.prepared!r}")
 
 
 def random_scalar(
@@ -62,25 +61,22 @@ def random_scalar(
     |c| ~ |xi|^(-sigma1 - d/2), which makes the weak dyadic norm at index
     sigma1 roughly flat across blocks.
     """
-    # The random coefficients are drawn, shaped and symmetrized on the full
-    # lattice, so that a (recipe, seed) keeps the field it has always named;
-    # the Hermitian result is then cut to the stored band.
-    shape = grid.shape
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    c = (re + 1j * im).astype(np.complex128)
-    kint, _, k2 = _lattice(grid, full=True)
-    keep = np.all(np.abs(kint) <= grid.kcut, axis=0)
-    kmag = np.sqrt(k2)
-    mask = (kmag >= k_band[0]) & (kmag <= k_band[1])
-    c *= mask
+    # The coefficients are drawn on the full lattice, so that a (recipe,
+    # seed) keeps the field it has always named; the draw and its partner
+    # at -k are then cut to the stored band, where they are shaped and made
+    # Hermitian.
+    c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    partner = c
+    for ax in range(grid.dim):
+        partner = np.roll(np.flip(partner, axis=ax), 1, axis=ax)
+    kmag = grid.kmag
+    w = ((kmag >= k_band[0]) & (kmag <= k_band[1])).astype(np.float64)
     if sigma1 is not None:
         expo = -sigma1 - grid.dim / 2.0
-        with np.errstate(divide="ignore"):
-            prof = np.where(kmag > 0, kmag, 1.0) ** expo
-        c *= prof
-    c = _hermitian_part(c * keep)
-    f = SpectralField(grid, _band_of(grid, c))
+        w *= np.where(kmag > 0, kmag, 1.0) ** expo
+    c = _band_of(grid, c) * w
+    partner = _band_of(grid, partner) * w
+    f = SpectralField(grid, 0.5 * (c + np.conj(partner)))
     idx = (0,) * grid.dim
     f.coeffs[idx] = 0.0
     sup = float(np.max(np.abs(to_physical(f))))

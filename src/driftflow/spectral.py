@@ -178,15 +178,12 @@ class Grid:
         return r[r > 0]
 
 
-def _lattice(grid: Grid, full: bool = False):
+def _lattice(grid: Grid):
     """Integer wavenumbers, wavevectors and |xi|^2 on the stored band (FFT
-    order per axis) or, with ``full``, on the full (N,)*d FFT lattice."""
-    n, d, m = grid.npts, grid.dim, (grid.npts - 1) // 3
-    if full:
-        axes = [np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)] * d
-    else:
-        band = np.r_[0 : m + 1, -m:0].astype(np.int64)
-        axes = [band] * (d - 1) + [band[: m + 1]]
+    order per axis)."""
+    d, m = grid.dim, (grid.npts - 1) // 3
+    band = np.r_[0 : m + 1, -m:0].astype(np.int64)
+    axes = [band] * (d - 1) + [band[: m + 1]]
     kint = np.stack(np.meshgrid(*axes, indexing="ij"))
     kvec = (2.0 * np.pi / grid.length) * kint.astype(np.float64)
     return kint, kvec, np.sum(kvec**2, axis=0)

@@ -17,12 +17,10 @@ import numpy as np
 from . import linear
 from .besov import (
     besov_norm,
-    chemin_lerner_low_high,
     chemin_lerner_norm,
     dyadic_sum,
     hybrid_norm,
     hybrid_time_l1_norm,
-    split_low_high,
 )
 from .errors import InsufficientSamples, NonPositiveData, WindowTooShort
 from .initial_data import DataRecipe, coupled_euler_ns_data, df_state, euler_ns_state, initial_state
@@ -32,7 +30,6 @@ from .integrate import (
     FieldObserver,
     ScalarObserver,
     Scheme,
-    Trajectory,
     integrate,
 )
 from .spectral import Grid, PhysParams, SpectralField, leray_project
@@ -448,54 +445,3 @@ def incompressible_study(
         details={"p": p, "besov_index": s_p, "free_space_slope": free_space_slope, "T": T,
                  "grid": (grid.dim, grid.npts, grid.length)},
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostic norm bundles
-
-
-def initial_energy_bundle(state: StateEulerNS, params: PhysParams, sigma1: float | None = None) -> dict:
-    """
-    The initial-data functionals: the core bundle
-    ||u0||_{d/2-1} + tau ||u0||_{d/2+1} + ||a0||_{d/2-1 ^ d/2} + ||v0||_{d/2-1},
-    and, when sigma1 is given, its low-frequency weak-norm extension.
-    """
-    d2 = state.grid.dim / 2.0
-    tau = params.tau
-    u_low = besov_norm(state.u, s=d2 - 1.0)
-    u_high = tau * besov_norm(state.u, s=d2 + 1.0)
-    a_hybrid = hybrid_norm(state.a, d2 - 1.0, d2)
-    v_low = besov_norm(state.v, s=d2 - 1.0)
-    out = {"X0": u_low + u_high + a_hybrid + v_low}
-    if sigma1 is not None:
-        low = sum(split_low_high(f, sigma1, r=np.inf)[0]
-                  for f in (state.rho, state.u, state.a, state.v))
-        out["Y0"] = low + hybrid_norm(state.rho, d2 - 1.0, d2) + a_hybrid + u_low + v_low + u_high
-    return out
-
-
-def dissipation_bundle(traj: Trajectory, params: PhysParams) -> dict:
-    """
-    Time-integrated dissipation functional from recorded block histories:
-    L1-in-time smoothing norms of u, a (split), v, plus the weighted
-    velocity-mismatch norms with their 1/sqrt(tau) and 1/tau factors.
-
-    Requires block observers named u, a, v, rel.
-    """
-    tau = params.tau
-    for name in ("u", "a", "v", "rel"):
-        if name not in traj.blocks:
-            raise KeyError(f"dissipation bundle needs a block observer named {name!r}")
-    d2 = traj.meta["final_state"].grid.dim / 2.0
-    u, a, v, rel = (traj.blocks[k] for k in ("u", "a", "v", "rel"))
-    a_low, a_high = chemin_lerner_low_high(a, 1.0, d2 + 1.0, d2)
-    rel_low, rel_high = chemin_lerner_low_high(rel, 1.0, d2, d2 - 1.0)
-    parts = {
-        "u_smoothing": chemin_lerner_norm(u, 1.0, d2 + 1.0),
-        "a_low": a_low,
-        "a_high": a_high,
-        "v_smoothing": chemin_lerner_norm(v, 1.0, d2 + 1.0),
-        "rel_sqrt_tau": chemin_lerner_norm(rel, 2.0, d2 - 1.0) / np.sqrt(tau),
-        "rel_tau": (rel_low + rel_high) / tau,
-    }
-    return {"D": float(sum(parts.values())), **parts}

@@ -291,12 +291,12 @@ def _viscous_rest(v: SpectralField, m_ph: np.ndarray, params: PhysParams):
 
 
 def rhs_euler_ns_scaled(
-    state: StateEulerNS, eps: float, tau: float, params: PhysParams, include_linear: bool = True
+    state: StateEulerNS, eps: float, params: PhysParams, include_linear: bool = True
 ) -> StateEulerNS:
     """
     Mach-scaled drag-coupled system with friction rate kappa = 1/(eps*tau)
-    and sound speed 1/eps; the combined-limit regime uses tau = eps.  With
-    the gas density n = 1 + eps*a:
+    (tau = params.tau) and sound speed 1/eps; the combined-limit regime uses
+    tau = eps.  With the gas density n = 1 + eps*a:
 
     d/dt rho = -div(rho u)
     d/dt u   = -u.grad u - kappa (u - v)
@@ -304,7 +304,7 @@ def rhs_euler_ns_scaled(
     d/dt v   = -v.grad v - (P'(n)/(eps n)) grad a
                + (mu lap v + (mu+lam) grad div v)/n + rho (u - v)/(tau n)
     """
-    g = state.grid
+    g, tau = state.grid, params.tau
     rho_ph = to_physical(state.rho)
     u_ph = to_physical(state.u)
     v_ph = to_physical(state.v)
@@ -351,7 +351,7 @@ def rhs_euler_ns(state: StateEulerNS, params: PhysParams, include_linear: bool =
                + (1/tau) rho (u - v) + g(a) grad a
                + f(a)(mu lap v + (mu+lam) grad div v) + (1/tau) f(a) rho (u-v)
     """
-    return rhs_euler_ns_scaled(state, 1.0, params.tau, params, include_linear)
+    return rhs_euler_ns_scaled(state, 1.0, params, include_linear)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +467,8 @@ class SystemSpec:
 def _two_phase(mach: Callable) -> SystemSpec:
     return SystemSpec(
         StateEulerNS,
-        lambda state, params: rhs_euler_ns_scaled(
-            state, mach(params), params.tau, params, include_linear=False),
+        lambda state, params: rhs_euler_ns_scaled(state, mach(params), params,
+                                                  include_linear=False),
         kappa=lambda params: 1.0 / (mach(params) * params.tau),
         c=lambda params: 1.0 / mach(params),
         mach=mach,

@@ -16,7 +16,6 @@ from driftflow.besov import (
     besov_norm,
     block_l2_spectrum,
     block_lp_norm,
-    chemin_lerner_low_high,
     chemin_lerner_norm,
     chi,
     dyadic_block,
@@ -171,8 +170,6 @@ class TestBesovNorms:
         f = random_field(grid2d, rng)
         with pytest.raises(UnsupportedP):
             besov_norm(f, 0.0, r=r)
-        with pytest.raises(UnsupportedP):  # every norm sums through dyadic_sum
-            split_low_high(f, 0.0, r=r)
 
     def test_interpolation_inequality_shape(self, grid2d, rng):
         s1, s2 = -1.0, 2.0
@@ -351,16 +348,6 @@ class TestSplitProperties:
         fam = family_for(grid)
         per_block = [block_lp_norm(f, j, 2.0) for j in fam.j_values]
         assert np.allclose(block_l2_spectrum(f), per_block, rtol=1e-12, atol=0.0)
-
-    @PROPERTY
-    @given(grid=grids, seed=seeds, s_low=indices, s_high=indices)
-    def test_space_split_is_the_sup_in_time_split(self, grid, seed, s_low, s_high):
-        f = random_field(grid, np.random.default_rng(seed))
-        series = constant_series(f, np.linspace(0.0, 1.0, 3))
-        lo, hi = split_low_high(f, s_low, s_high)
-        lo_t, hi_t = chemin_lerner_low_high(series, np.inf, s_low, s_high)
-        assert np.isclose(lo_t, lo, rtol=1e-13, atol=0.0)
-        assert np.isclose(hi_t, hi, rtol=1e-13, atol=0.0)
 
     @PROPERTY
     @given(grid=grids, seed=seeds, s=indices, s_prime=indices)

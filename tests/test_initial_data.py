@@ -8,10 +8,13 @@ a change of layout must not change the data."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftflow.errors import NonFiniteField
-from driftflow.initial_data import DataRecipe, df_state, euler_ns_state, initial_state
-from driftflow.spectral import Grid, to_physical
+from driftflow.initial_data import (DataRecipe, df_state, euler_ns_state, initial_state,
+                                    random_scalar)
+from driftflow.spectral import Grid, from_physical, to_physical
 
 GRIDS = {2: Grid(2, 32, 8.0 * np.pi), 3: Grid(3, 16, 2.0 * np.pi)}
 POINTS = {2: [(0, 0), (5, 7), (17, 3), (31, 30)], 3: [(0, 0, 0), (3, 9, 14), (15, 2, 7)]}
@@ -92,3 +95,28 @@ def test_non_finite_amplitude_fails_in_the_builder(system):
     # builder's validate() rejects the state before any run starts
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteField):
         initial_state(system, GRIDS[2], DataRecipe(amplitude=np.inf))
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.0}, {"seed": True},
+                                    {"prepared": "wel"}],
+                         ids=["seed-negative", "seed-float", "seed-bool", "prepared-misspelt"])
+def test_bad_recipe_rejected(kwargs):
+    with pytest.raises(ValueError):
+        DataRecipe(**kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from([Grid(2, 16, 2.0 * np.pi), Grid(2, 32, 8.0 * np.pi),
+                             Grid(3, 16, 2.0 * np.pi)]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       sigma1=st.sampled_from([None, -1.0, 0.5]),
+       k_band=st.sampled_from([(0.5, 3.0), (1.0, 2.5), (0.0, 1.5)]),
+       amplitude=st.floats(min_value=1e-3, max_value=1e3))
+def test_random_scalar_is_real_zero_mean_banded_and_scaled(grid, seed, sigma1, k_band, amplitude):
+    f = random_scalar(grid, np.random.default_rng(seed), amplitude, k_band, sigma1)
+    scale = np.max(np.abs(f.coeffs))
+    assert np.max(np.abs(from_physical(grid, to_physical(f)).coeffs - f.coeffs)) <= 1e-14 * scale
+    assert f.zero_mode() == 0.0
+    outside = (grid.kmag < k_band[0]) | (grid.kmag > k_band[1])
+    assert np.all(f.coeffs[outside] == 0.0)
+    assert abs(np.max(np.abs(to_physical(f))) - amplitude) <= 1e-14 * amplitude

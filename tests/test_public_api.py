@@ -93,10 +93,10 @@ PUBLIC_PARAMETERS = {
     "rhs_df": ["state", "params", "include_linear"],
     "rhs_df_scaled": ["state", "eps", "params", "include_linear"],
     "rhs_euler_ns": ["state", "params", "include_linear"],
-    "rhs_euler_ns_scaled": ["state", "eps", "tau", "params", "include_linear"],
+    "rhs_euler_ns_scaled": ["state", "eps", "params", "include_linear"],
     "rhs_tns": ["state", "params", "include_linear"],
     "save_field": ["path", "f"],
-    "split_low_high": ["f", "s_low", "s_high", "r"],
+    "split_low_high": ["f", "s_low", "s_high"],
     "to_physical": ["f"],
 }
 

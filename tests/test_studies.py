@@ -1,20 +1,18 @@
-"""Fit machinery, norm bundles, and small-scale study smoke tests."""
+"""Fit machinery and small-scale study smoke tests."""
 
 import numpy as np
 import pytest
 
 from driftflow import linear, studies
 from driftflow.errors import InsufficientSamples, NonPositiveData, WindowTooShort
-from driftflow.initial_data import DataRecipe, euler_ns_state
-from driftflow.integrate import BlockObserver, CheckpointObserver, Scheme, integrate
+from driftflow.initial_data import DataRecipe
+from driftflow.integrate import CheckpointObserver, integrate
 from driftflow.besov import besov_norm
-from driftflow.spectral import Grid, PhysParams, SpectralField
+from driftflow.spectral import Grid, SpectralField
 from driftflow.studies import (
     StudyResult,
-    dissipation_bundle,
     exp_rate_fit,
     fit_decay_exponent,
-    initial_energy_bundle,
     df_limit_study,
     rate_fit,
     relaxation_study,
@@ -69,43 +67,6 @@ class TestRateFit:
         assert abs(fit.slope - 1.25) < 1e-10
         with pytest.raises(WindowTooShort):
             fit_decay_exponent(t, vals, (29.9, 30.0))
-
-
-class TestBundles:
-    GRID = Grid(2, 32, 8.0 * np.pi)
-    PAR = PhysParams(tau=0.2, mu=1.0, lam=0.0)
-
-    def _state(self, amp=0.05, seed=17):
-        return euler_ns_state(self.GRID, DataRecipe(amplitude=amp, rho_amplitude=amp, seed=seed))
-
-    def test_zero_state_bundle_vanishes(self):
-        st = self._state()
-        zero = type(st)(*[f * 0.0 for f in st.fields().values()])
-        b = initial_energy_bundle(zero, self.PAR, sigma1=-1.0)
-        assert b["X0"] == 0.0 and b["Y0"] == 0.0
-
-    def test_bundle_scales_linearly(self):
-        st1 = self._state()
-        st2 = type(st1)(*[f * 2.0 for f in st1.fields().values()])
-        b1 = initial_energy_bundle(st1, self.PAR)
-        b2 = initial_energy_bundle(st2, self.PAR)
-        assert abs(b2["X0"] - 2.0 * b1["X0"]) < 1e-10 * b2["X0"]
-
-    def test_dissipation_bundle_entries(self):
-        st = self._state()
-        obs = [
-            BlockObserver("u", lambda s: s.u),
-            BlockObserver("a", lambda s: s.a),
-            BlockObserver("v", lambda s: s.v),
-            BlockObserver("rel", lambda s: s.u - s.v),
-        ]
-        traj = integrate(st, 2.0, Scheme(dt=0.05), self.PAR, "euler_ns", obs, sample_dt=0.05)
-        d = dissipation_bundle(traj, self.PAR)
-        assert d["D"] > 0
-        assert all(np.isfinite(v) and v >= 0 for v in d.values())
-        parts = (d["u_smoothing"] + d["a_low"] + d["a_high"] + d["v_smoothing"]
-                 + d["rel_sqrt_tau"] + d["rel_tau"])
-        assert abs(parts - d["D"]) < 1e-10 * d["D"]
 
 
 class TestStudySmoke:

@@ -278,7 +278,7 @@ class TestScaledSystems:
 
     def test_unit_parameters_match_unscaled_euler_ns(self):
         st = smooth_state(8)
-        a = rhs_euler_ns_scaled(st, 1.0, PAR.tau, PAR)
+        a = rhs_euler_ns_scaled(st, 1.0, PAR)
         b = rhs_euler_ns(st, PAR)
         for k in ("rho", "u", "a", "v"):
             assert l2_norm(a.fields()[k] - b.fields()[k]) < 1e-12
@@ -289,7 +289,7 @@ class TestScaledSystems:
             a = from_physical(GRID, (level - 1.0) * np.ones(GRID.shape))
             low = StateEulerNS(st.rho, st.u, a, st.v)
             for rhs in (lambda s: rhs_euler_ns(s, PAR),
-                        lambda s: rhs_euler_ns_scaled(s, 1.0, PAR.tau, PAR)):
+                        lambda s: rhs_euler_ns_scaled(s, 1.0, PAR)):
                 if raises:
                     with pytest.raises(VacuumGas):
                         rhs(low)
@@ -427,7 +427,7 @@ class TestPlainForms:
         par = PhysParams(tau=0.3, eps=eps, mu=0.7, lam=-0.2, gamma=gamma)
         recipe = DataRecipe(seed=seed, amplitude=0.05, rho_amplitude=0.05, k_band=(0.4, 4.0))
         cases = {
-            "euler_ns": (lambda s: rhs_euler_ns_scaled(s, eps, 0.3, par, linear),
+            "euler_ns": (lambda s: rhs_euler_ns_scaled(s, eps, par, linear),
                          lambda s: rhs_euler_ns_scaled_enthalpy_ref(s, eps, 0.3, par, linear)),
             "df": (lambda s: rhs_df_scaled(s, eps, par, linear),
                    lambda s: rhs_df_scaled_ref(s, eps, par, linear)),
@@ -452,7 +452,7 @@ class TestPlainForms:
         par = PhysParams(tau=0.3, eps=eps, mu=0.7, lam=-0.2, gamma=3.0)
         recipe = DataRecipe(seed=seed, amplitude=0.05, rho_amplitude=0.05, k_band=(0.4, 4.0))
         state = euler_ns_state(grid, recipe)
-        got = rhs_euler_ns_scaled(state, eps, 0.3, par, include_linear=False).v.coeffs
+        got = rhs_euler_ns_scaled(state, eps, par, include_linear=False).v.coeffs
         want = rhs_euler_ns_scaled_ref(state, eps, 0.3, par, include_linear=False).v.coeffs
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
