@@ -28,7 +28,6 @@ from .besov import (
     dyadic_sum,
     family_for,
     hybrid_norm,
-    split_low_high,
 )
 from .linear import RadialInit, continuum_linear_norms, propagator
 from .systems import (

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSamples, UnsupportedP
-from .spectral import Grid, SpectralField, lp_norm, parseval_sum
+from .spectral import Grid, SpectralField, lp_norm
 
 _CHI_LO = 0.75
 _CHI_HI = 4.0 / 3.0
@@ -109,7 +109,6 @@ class BlockTimeSeries:
     times: np.ndarray        # (T,), strictly increasing
     j_values: np.ndarray     # (J,)
     values: np.ndarray       # (J, T), nonnegative
-    p: float = 2.0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -131,9 +130,7 @@ def dyadic_block(f: SpectralField, j: int) -> SpectralField:
 
 
 def block_lp_norm(f: SpectralField, j: int, p: float) -> float:
-    if p == 2.0:
-        weight = family_for(f.grid).weight(j)
-        return float(np.sqrt(f.grid.volume * parseval_sum(f.grid, weight * f.coeffs)))
+    """||Delta_j f||_{Lp} by quadrature of the block's samples."""
     if p not in _SUPPORTED_P:
         raise UnsupportedP(f"p = {p} not in {{1, 2, 4, inf}}")
     return lp_norm(dyadic_block(f, j), p)
@@ -187,24 +184,14 @@ def besov_norm(f: SpectralField, s: float, p: float = 2.0, r: float = 1.0) -> fl
     return float(dyadic_sum(block_lp_spectrum(f, p), family_for(f.grid).j_values, s, r))
 
 
-def split_low_high(f: SpectralField, s_low: float,
-                   s_high: float | None = None) -> tuple[float, float]:
-    """
-    Low/high parts of the L2-based Besov norm (the split of ``_low_high``),
-    the high part at index s_high (default s_low).
-    """
-    lo, hi = _low_high(block_l2_spectrum(f), family_for(f.grid).j_values, s_low,
-                       s_low if s_high is None else s_high)
-    return float(lo), float(hi)
-
-
 def hybrid_norm(f: SpectralField, s: float, s_prime: float) -> float:
     """
     Norm of the intersection space (s < s') or the sum space (s > s'),
-    reconstructed from the low/high split: low part at s, high part at s'.
+    reconstructed from the low/high split of ``_low_high``: the L2-based
+    low part at s, the high part at s'.
     """
-    lo, hi = split_low_high(f, s, s_prime)
-    return lo + hi
+    lo, hi = _low_high(block_l2_spectrum(f), family_for(f.grid).j_values, s, s_prime)
+    return float(lo) + float(hi)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .besov import besov_norm
 from .config import RunConfig, read_config_file, study_to_files, write_csv, write_record
 from .errors import ConfigError, DriftflowError
 from .initial_data import initial_state
-from .integrate import BlockObserver, ScalarObserver, integrate
+from .integrate import BlockObserver, ScalarObserver, Scheme, integrate
 from .spectral import l2_norm, linf_norm, load_field, save_field
 from .systems import SYSTEMS, system_spec
 
@@ -57,7 +57,7 @@ def cmd_simulate(args) -> int:
     obs += [ScalarObserver(f"linf_{k}", lambda s, t, k=k: linf_norm(s.fields()[k])) for k in fields]
     if system_spec(cfg.system).has_drag:
         obs.append(BlockObserver("rel", lambda s: s.u - s.v))
-    traj = integrate(state0, cfg.horizon, cfg.scheme_obj(), cfg.params(), cfg.system,
+    traj = integrate(state0, cfg.horizon, Scheme(dt=cfg.dt), cfg.params(), cfg.system,
                      obs, cfg.sample_dt)
     cols = ["t"] + sorted(traj.scalars)
     rows = [[traj.times[i]] + [traj.scalars[k][i] for k in sorted(traj.scalars)]

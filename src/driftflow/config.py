@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .initial_data import DataRecipe
-from .integrate import Scheme
 from .spectral import Grid, PhysParams
 from .systems import system_spec
 
@@ -102,7 +101,7 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, not {value}")
-        for name in ("amplitude", "rho_amplitude", "rho_floor", "k_lo", "k_hi", "sigma1"):
+        for name in ("amplitude", "rho_amplitude", "rho_floor", "sigma1"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, not {value}")
@@ -125,9 +124,6 @@ class RunConfig:
             sigma1=self.sigma1,
             localized=self.localized,
         )
-
-    def scheme_obj(self) -> Scheme:
-        return Scheme(dt=self.dt)
 
     def canonical_json(self) -> str:
         """Every field but ``outdir``, which names where results go, not what

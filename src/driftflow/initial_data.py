@@ -10,12 +10,14 @@ acoustic-dispersion studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .spectral import (Grid, SpectralField, _band_of, from_physical, grad, leray_project,
-                       to_physical)
+                       linf_norm, to_physical)
 from .systems import StateDF, StateEulerNS, StateTNS, system_spec
 
 # height of the density bump that ``coupled_euler_ns_data`` scales by tau
@@ -44,6 +46,17 @@ class DataRecipe:
             raise ValueError(f"seed must be a nonnegative int, not {seed!r}")
         if self.prepared not in ("ill", "well"):
             raise ValueError(f"prepared must be 'ill' or 'well', not {self.prepared!r}")
+        lo, hi = self.k_band
+        if not (math.isfinite(hi) and 0 <= lo <= hi):
+            raise ValueError(f"k_band must be finite with 0 <= lo <= hi, not {(lo, hi)!r}")
+        # euler_ns_state raises the mismatch band's upper end to at least
+        # 1.5 max(lo, 2pi/L), so hi <= lo is allowed
+        lo, hi = self.mismatch_band
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo >= 0):
+            raise ValueError(f"mismatch_band must be finite with lo >= 0, not {(lo, hi)!r}")
+        if self.bump_width is not None and not (math.isfinite(self.bump_width)
+                                                and self.bump_width > 0):
+            raise ValueError(f"bump_width must be positive and finite, not {self.bump_width!r}")
 
 
 def random_scalar(
@@ -59,7 +72,8 @@ def random_scalar(
 
     With ``sigma1`` given, coefficient magnitudes follow
     |c| ~ |xi|^(-sigma1 - d/2), which makes the weak dyadic norm at index
-    sigma1 roughly flat across blocks.
+    sigma1 roughly flat across blocks.  A band that holds no nonzero mode
+    of the grid is a ConfigError.
     """
     # The coefficients are drawn on the full lattice, so that a (recipe,
     # seed) keeps the field it has always named; the draw and its partner
@@ -70,7 +84,11 @@ def random_scalar(
     for ax in range(grid.dim):
         partner = np.roll(np.flip(partner, axis=ax), 1, axis=ax)
     kmag = grid.kmag
-    w = ((kmag >= k_band[0]) & (kmag <= k_band[1])).astype(np.float64)
+    band = (kmag >= k_band[0]) & (kmag <= k_band[1])
+    if not np.any(band & (kmag > 0)):
+        raise ConfigError(f"no nonzero mode of the grid (|xi| <= {np.max(kmag):.4g}) "
+                          f"lies in the band {tuple(k_band)}")
+    w = band.astype(np.float64)
     if sigma1 is not None:
         expo = -sigma1 - grid.dim / 2.0
         w *= np.where(kmag > 0, kmag, 1.0) ** expo
@@ -79,7 +97,7 @@ def random_scalar(
     f = SpectralField(grid, 0.5 * (c + np.conj(partner)))
     idx = (0,) * grid.dim
     f.coeffs[idx] = 0.0
-    sup = float(np.max(np.abs(to_physical(f))))
+    sup = linf_norm(f)
     if sup > 0:
         f = f * (amplitude / sup)
     return f
@@ -97,7 +115,7 @@ def random_vector(
     f = SpectralField(grid, np.stack(comps))
     if solenoidal:
         f, _ = leray_project(f)
-    sup = float(np.max(np.sqrt(np.sum(to_physical(f) ** 2, axis=0))))
+    sup = linf_norm(f)
     if sup > 0:
         f = f * (amplitude / sup)
     return f
@@ -152,12 +170,11 @@ def _gas_and_dispersed(grid: Grid, recipe: DataRecipe, rng: np.random.Generator)
         v = random_vector(grid, rng, recipe.amplitude, recipe.k_band, recipe.sigma1)
         return rho, a, v
     L = grid.length
-    w = recipe.bump_width or L / 14.0
+    w = L / 14.0 if recipe.bump_width is None else recipe.bump_width
     c1 = (0.5 * L,) * grid.dim
     a = bump_scalar(grid, c1, w, recipe.amplitude)
     q = grad(bump_scalar(grid, c1, 1.3 * w, 1.0))
-    sup = float(np.max(np.sqrt(np.sum(to_physical(q) ** 2, axis=0))))
-    q = q * (recipe.amplitude / max(sup, 1e-300))
+    q = q * (recipe.amplitude / max(linf_norm(q), 1e-300))
     v = q + random_vector(grid, rng, 0.3 * recipe.amplitude, recipe.k_band, solenoidal=True)
     rho = positive_density(grid, rng, recipe.rho_amplitude, recipe.rho_floor)
     return rho, a, v
@@ -201,12 +218,6 @@ def initial_state(system: str, grid: Grid, recipe: DataRecipe):
     return _BUILDERS[system_spec(system).state_cls](grid, recipe)
 
 
-def lowpass_vector(f: SpectralField, radius: float) -> SpectralField:
-    """Sharp low-pass at |xi| <= radius (used by the limit-coupled data)."""
-    keep = f.grid.kmag <= radius
-    return SpectralField(f.grid, f.coeffs * keep)
-
-
 def coupled_euler_ns_data(df0: StateDF, tau: float) -> StateEulerNS:
     """
     Relaxation-coupled two-phase data built from drift-flux data: the
@@ -220,5 +231,5 @@ def coupled_euler_ns_data(df0: StateDF, tau: float) -> StateEulerNS:
     g = df0.grid
     bump = bump_scalar(g, None, g.length / 10.0, COUPLED_BUMP_HEIGHT)
     rho = SpectralField(g, df0.rho.coeffs + tau * bump.coeffs)
-    u = lowpass_vector(df0.v, 1.0 / np.sqrt(tau))
+    u = SpectralField(g, df0.v.coeffs * (g.kmag <= 1.0 / np.sqrt(tau)))
     return StateEulerNS(rho, u, df0.a.copy(), df0.v.copy()).validate()

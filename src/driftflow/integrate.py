@@ -21,8 +21,8 @@ import numpy as np
 from .besov import BlockTimeSeries, block_lp_spectrum, family_for
 from .errors import Diverged, DriftflowError, StepRejected
 from .linear import green_acoustic, green_compressible, green_incompressible
-from .spectral import Grid, PhysParams, SpectralField, parseval_sum, to_physical
-from .systems import _dot, system_spec
+from .spectral import Grid, PhysParams, SpectralField, dot, linf_norm, parseval_sum
+from .systems import system_spec
 
 # the guard in ``integrate`` stops a run whose amplitude grows by this factor
 DIVERGENCE_FACTOR = 1e3
@@ -111,8 +111,9 @@ def precompute_mode_propagators(
     spec = system_spec(system)
     nu, mu = params.nu, params.mu
     tab = ModePropagatorTable(system=system, grid=grid, dt=dt)
-    if spec.c is None:  # incompressible transport: heat flow alone
+    if not spec.has_drag:  # the solenoidal part (all of w in transport) flows by heat
         tab.p11 = np.exp(-mu * grid.k2 * dt)
+    if spec.c is None:  # incompressible transport: heat flow alone
         return tab
 
     xi, inverse = np.unique(grid.kmag.ravel(), return_inverse=True)
@@ -134,7 +135,6 @@ def precompute_mode_propagators(
         tab.p11 = on_lattice(gi["vv"])
     else:
         g = green_acoustic(xi, nu, c, dt)
-        tab.p11 = np.exp(-mu * grid.k2 * dt)
     # (a, s_v) with s_v = e.v_hat; the i-factors of the potential variables
     # turn the real acoustic entries into +-i couplings
     tab.g11 = on_lattice(g["aa"])
@@ -169,7 +169,7 @@ def apply_propagator(tab: ModePropagatorTable, state):
         return _with(state, w=SpectralField(g, tab.p11 * state.w.coeffs))
 
     a, v = state.a.coeffs, state.v.coeffs
-    sv = _dot(g.ehat, v)
+    sv = dot(g.ehat, v)
     tmp = np.empty_like(sv)
     a_new = tab.g11 * a
     a_new += np.multiply(tab.g12, sv, out=tmp)
@@ -181,7 +181,7 @@ def apply_propagator(tab: ModePropagatorTable, state):
     if spec.has_drag:
         u = state.u.coeffs
         along = tab.g00 - tab.p00
-        along *= _dot(g.ehat, u)
+        along *= dot(g.ehat, u)
         along += np.multiply(tab.g01, a, out=tmp)
         np.subtract(tab.g02, tab.p01, out=tmp)
         along += np.multiply(tmp, sv, out=tmp)
@@ -218,7 +218,7 @@ def apply_resolvent(tab: ResolventTable, state):
     c = spec.c(params)
     det = 1.0 + alpha * params.nu * g.k2 + alpha**2 * c**2 * g.k2
     v = state.v.coeffs
-    sv = _dot(g.ehat, v)
+    sv = dot(g.ehat, v)
     a = state.a.coeffs
     sv_new = (sv - 1j * alpha * c * g.kmag * a) / det
     # v' = e sv' + v_perp/heat
@@ -328,7 +328,7 @@ def estimate_dt(state) -> float:
     sup = 1e-12
     for f in state.fields().values():
         if f.is_vector:
-            sup = max(sup, float(np.max(np.sqrt(np.sum(to_physical(f) ** 2, axis=0)))))
+            sup = max(sup, linf_norm(f))
     dt = CFL_SAFETY * state.grid.dx / sup
     return min(dt, DT_MAX)
 
@@ -461,7 +461,7 @@ def integrate(
         times=np.array(times),
         scalars={o.name: np.array(samples[o.name]) for o in by_kind["scalar"]},
         blocks={o.name: BlockTimeSeries(np.array(times), fam.j_values,
-                                        np.array(samples[o.name]).T, p=o.p)
+                                        np.array(samples[o.name]).T)
                 for o in by_kind["blocks"]},
         fields={o.name: samples[o.name] for o in by_kind["fields"]},
         checkpoints=[(t, s) for o in by_kind["checkpoint"] for t, s in zip(times, samples[o.name])],

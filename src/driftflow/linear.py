@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
-from .besov import block_j_range, dyadic_sum, phi as lp_phi
+from .besov import block_j_range, chi, dyadic_sum, phi as lp_phi
 from .errors import QuadratureNotConverged
 
 _DEG_RELGAP = 1e-6      # closed form requires |lambda2-lambda3| > 1e-6 * xi^2
@@ -74,22 +74,11 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_delta(lam: np.ndarray, kappa: float, t: float) -> np.ndarray:
-    """(exp(lam*t) - exp(-kappa*t)) / (kappa + lam), stable as kappa+lam -> 0."""
-    lam = np.asarray(lam, dtype=np.complex128)
-    z = (kappa + lam) * t
-    out = np.empty_like(lam)
-    small = np.abs(z) < 0.5
-    out[small] = t * np.exp(-kappa * t) * _phi1(z[small])
-    ls = lam[~small]
-    out[~small] = (np.exp(ls * t) - np.exp(-kappa * t)) / (kappa + ls)
-    return out
-
-
-def _exp_diff(l2: np.ndarray, l3: np.ndarray, t: float) -> np.ndarray:
-    """(exp(l2*t) - exp(l3*t)) / (l2 - l3), stable as l2 -> l3."""
+def _exp_diff(l2: np.ndarray, l3: np.ndarray | float, t: float) -> np.ndarray:
+    """(exp(l2*t) - exp(l3*t)) / (l2 - l3), stable as l2 -> l3.  ``l3`` keeps
+    its dtype, so a real one (the drag rate -kappa) takes the real exponential."""
     l2 = np.asarray(l2, dtype=np.complex128)
-    l3 = np.asarray(l3, dtype=np.complex128)
+    l3 = np.broadcast_to(l3, l2.shape)
     z = (l2 - l3) * t
     out = np.empty_like(l2)
     small = np.abs(z) < 0.5
@@ -151,8 +140,8 @@ def green_compressible(xi, kappa: float, nu: float, c: float, t: float) -> dict[
     l2, l3 = acoustic_eigenvalues(xi, nu, c)
     ekt = np.exp(-kappa * t)
 
-    p2 = _pair_delta(l2, kappa, t)                 # (e^{l2 t}-e^{-k t})/(k+l2)
-    p3 = _pair_delta(l3, kappa, t)
+    p2 = _exp_diff(l2, -kappa, t)                  # (e^{l2 t}-e^{-k t})/(k+l2)
+    p3 = _exp_diff(l3, -kappa, t)
     gap = l2 - l3
     guard = np.abs(gap) > _DEG_RELGAP * np.maximum(xi**2, 1e-300)
     guard &= np.abs(1.0 + l2 / kappa) > _DEG_RESONANCE
@@ -178,7 +167,7 @@ def green_incompressible(xi, kappa: float, mu: float, t: float) -> dict[str, np.
     """Entries of exp(t*B) on (Phi, Psi): keys uu, uv, vv."""
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     l5 = -mu * xi**2
-    uv = kappa * _pair_delta(l5, kappa, t)
+    uv = kappa * _exp_diff(l5, -kappa, t)
     return {
         "uu": np.full(xi.shape, np.exp(-kappa * t), dtype=np.complex128),
         "uv": uv,
@@ -328,20 +317,13 @@ def continuum_linear_norms(
     return out
 
 
-def cutoff_profile(r):
-    """Flat-at-zero radial cutoff, supported in r <= 4/3 (reuses chi)."""
-    from .besov import chi
-
-    return chi(np.asarray(r, dtype=np.float64))
-
-
 def power_law_profile(exponent: float):
-    """r -> r^exponent * cutoff(r); the low-frequency power-law class."""
+    """r -> r^exponent * chi(r); the low-frequency power-law class."""
 
     def f(r):
         r = np.asarray(r, dtype=np.float64)
         with np.errstate(divide="ignore"):
             p = np.where(r > 0, r ** exponent, 0.0 if exponent > 0 else 1.0)
-        return p * cutoff_profile(r)
+        return p * chi(r)
 
     return f

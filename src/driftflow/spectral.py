@@ -316,6 +316,15 @@ def to_physical(f: SpectralField) -> np.ndarray:
 # differential multipliers
 
 
+def dot(w: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """sum_i w_i vec_i per mode, for a per-mode vector w (xi, i xi or e = xi/|xi|)."""
+    s = w[0] * vec[0]
+    tmp = np.empty_like(s)
+    for i in range(1, len(w)):
+        s += np.multiply(w[i], vec[i], out=tmp)
+    return s
+
+
 def grad(f: SpectralField) -> SpectralField:
     """Scalar -> vector, multiplier i*xi."""
     if f.is_vector:
@@ -327,7 +336,7 @@ def div(f: SpectralField) -> SpectralField:
     """Vector -> scalar, multiplier i*xi . (summed over components)."""
     if not f.is_vector:
         raise ValueError("div expects a vector field")
-    return SpectralField(f.grid, np.sum(f.grid.ikvec * f.coeffs, axis=0))
+    return SpectralField(f.grid, dot(f.grid.ikvec, f.coeffs))
 
 
 def curl(f: SpectralField) -> SpectralField:
@@ -358,7 +367,7 @@ def leray_project(f: SpectralField) -> tuple[SpectralField, SpectralField]:
     if not f.is_vector:
         raise ValueError("leray_project expects a vector field")
     g = f.grid
-    edotf = np.sum(g.ehat * f.coeffs, axis=0)
+    edotf = dot(g.ehat, f.coeffs)
     q = g.ehat * edotf[np.newaxis]
     return SpectralField(g, f.coeffs - q), SpectralField(g, q)
 
@@ -417,8 +426,9 @@ def multiply(a: SpectralField, b: SpectralField) -> SpectralField:
 #
 # ``save_field`` writes version 2, the band padded with zeros into the half
 # spectrum.  ``load_field`` reads both versions and gathers the band; a
-# nonzero coefficient outside it, or a payload of the wrong size, is a
-# format error, so no field is truncated silently.
+# non-finite coefficient, a nonzero one outside the band, or a payload of
+# the wrong size is a format error, so no field is corrupted or truncated
+# silently.
 
 
 def save_field(path, f: SpectralField) -> None:
@@ -465,6 +475,8 @@ def load_field(path) -> SpectralField:
     except ValueError as exc:
         raise FormatVersionMismatch(f"bad grid in header: {exc}") from None
     data = np.frombuffer(payload, dtype="<c16").reshape(stored)
+    if not np.all(np.isfinite(data)):
+        raise FormatVersionMismatch(f"non-finite coefficients in snapshot {path}")
     keep = np.abs(np.fft.fftfreq(npts, d=1.0 / npts)) <= grid.kcut
     inside = functools.reduce(np.logical_and.outer, [keep] * (dim - 1) + [keep[:last]])
     outside = np.count_nonzero(data[..., ~inside])

@@ -22,7 +22,7 @@ from .besov import (
     hybrid_norm,
     hybrid_time_l1_norm,
 )
-from .errors import InsufficientSamples, NonPositiveData, WindowTooShort
+from .errors import ConfigError, InsufficientSamples, NonPositiveData, WindowTooShort
 from .initial_data import DataRecipe, coupled_euler_ns_data, df_state, euler_ns_state, initial_state
 from .integrate import (
     BlockObserver,
@@ -325,10 +325,13 @@ def decay_study(
     # the band tops out at 0.5 so the exponential death of mid-band blocks is
     # over before the fit window opens and the window sits in the
     # self-similar regime of the low-frequency reservoir
+    k0 = 2.0 * np.pi / grid.length
+    if recipe is None and k0 > 0.5:
+        raise ConfigError(f"the decay band [2pi/L, 0.5] holds no mode on a box of "
+                          f"length {grid.length:g} < 4pi")
     recipe = recipe or DataRecipe(
         amplitude=0.04, rho_amplitude=0.04, seed=3,
-        k_band=(2.0 * np.pi / grid.length, 0.5), sigma1=sigma1,
-        mismatch_band=(2.0 * np.pi / grid.length, 0.4),
+        k_band=(k0, 0.5), sigma1=sigma1, mismatch_band=(k0, 0.4),
     )
     mu, lam = 0.65, 0.7
     params = PhysParams(tau=tau, mu=mu, lam=lam)

@@ -57,6 +57,7 @@ from .spectral import (
     SpectralField,
     curl,
     div,
+    dot,
     from_physical,
     grad,
     l2_norm,
@@ -190,18 +191,9 @@ def _advection(vel: SpectralField, vel_ph: np.ndarray, rest_ph: np.ndarray | Non
     return SpectralField(g, out)
 
 
-def _dot(w: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """sum_i w_i vec_i per mode, for a per-mode vector w (xi, i xi or e = xi/|xi|)."""
-    s = w[0] * vec[0]
-    tmp = np.empty_like(s)
-    for i in range(1, len(w)):
-        s += np.multiply(w[i], vec[i], out=tmp)
-    return s
-
-
 def _transport(grid: Grid, dens_ph: np.ndarray, vel_ph: np.ndarray) -> SpectralField:
     """-div(dens * vel), on the retained band, in divergence form: exact zero mean."""
-    out = _dot(grid.ikvec, from_physical(grid, np.multiply(dens_ph, vel_ph)).coeffs)
+    out = dot(grid.ikvec, from_physical(grid, np.multiply(dens_ph, vel_ph)).coeffs)
     return SpectralField(grid, np.negative(out, out=out))
 
 
@@ -224,7 +216,7 @@ def _mixture(rho_ph: np.ndarray, a_ph: np.ndarray, eps: float) -> np.ndarray:
 def _visc(v: SpectralField, mu: float, lam: float) -> SpectralField:
     """mu lap v + (mu+lam) grad div v = -mu |xi|^2 v - (mu+lam) xi (xi.v) per mode."""
     g = v.grid
-    kdot = _dot(g.kvec, v.coeffs)
+    kdot = dot(g.kvec, v.coeffs)
     out = np.multiply(g.k2, v.coeffs)
     out *= -mu
     tmp = np.empty_like(kdot)
@@ -421,7 +413,7 @@ def rhs_tns(state: StateTNS, params: PhysParams, include_linear: bool = True) ->
     dvarrho = _transport(g, to_physical(state.varrho), w_ph)
     dw = _advection(state.w, w_ph, gradient=False)
     # the Leray projection, in place, removes the rotational form's gradient part
-    along = _dot(g.ehat, dw.coeffs)
+    along = dot(g.ehat, dw.coeffs)
     for i in range(g.dim):
         dw.coeffs[i] -= g.ehat[i] * along
     if include_linear:

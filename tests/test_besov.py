@@ -24,7 +24,6 @@ from driftflow.besov import (
     hybrid_norm,
     hybrid_time_l1_norm,
     phi,
-    split_low_high,
 )
 from driftflow.errors import InsufficientSamples, UnsupportedP
 from driftflow.spectral import Grid, SpectralField, from_physical, l2_norm
@@ -207,28 +206,22 @@ class TestBesovNorms:
 class TestSplits:
     def test_field_in_low_blocks_has_no_high_part(self):
         grid = Grid(2, 64, 16.0 * np.pi)
-        f = single_mode_field(grid, (1, 0))  # radius 1/8, block j = -3
-        lo, hi = split_low_high(f, s_low=0.0)
-        assert hi == 0.0
-        assert lo > 0.0
+        f = single_mode_field(grid, (1, 0))  # radius 1/8, blocks j = -4, -3
+        # with no high part, the high index changes nothing
+        n = hybrid_norm(f, 0.0, 0.0)
+        assert n > 0.0
+        assert hybrid_norm(f, 0.0, 7.0) == n == hybrid_norm(f, 0.0, -7.0)
 
     def test_low_high_overlap_bounds(self, grid2d, rng):
         f = random_field(grid2d, rng)
         f.coeffs[0, 0] = 0.0
         n = besov_norm(f, 0.5)
-        lo, hi = split_low_high(f, 0.5)
         fam = family_for(grid2d)
         blocks = block_l2_spectrum(f)
         js = list(fam.j_values)
         # blocks j = -1, 0 are counted by both parts
         overlap = sum(2.0 ** (0.5 * j) * blocks[js.index(j)] for j in (-1, 0))
-        assert n - 1e-12 <= lo + hi <= n + overlap + 1e-12
-
-    def test_hybrid_intersection_identity(self, grid2d, rng):
-        f = random_field(grid2d, rng)
-        f.coeffs[0, 0] = 0.0
-        lo, hi = split_low_high(f, -0.5, 1.0)
-        assert np.isclose(hybrid_norm(f, -0.5, 1.0), lo + hi)
+        assert n - 1e-12 <= hybrid_norm(f, 0.5, 0.5) <= n + overlap + 1e-12
 
 
 def decaying_series(grid, rng, ts):
@@ -346,6 +339,7 @@ class TestSplitProperties:
     def test_table_contraction_matches_per_block_sums(self, grid, seed, ncomp):
         f = random_field(grid, np.random.default_rng(seed), ncomp)
         fam = family_for(grid)
+        # the per-block reference: quadrature of each block's samples
         per_block = [block_lp_norm(f, j, 2.0) for j in fam.j_values]
         assert np.allclose(block_l2_spectrum(f), per_block, rtol=1e-12, atol=0.0)
 

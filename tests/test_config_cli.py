@@ -297,6 +297,40 @@ class TestCLI:
         assert err["error"] == "FormatVersionMismatch"
         assert "outside the retained band" in err["message"]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_snapshot_exit_is_machine_readable(self, value, tmp_path, capsys):
+        # one band mode holds a non-finite value; save_field writes it as is
+        snap, f = mode_snapshot(tmp_path)
+        f.coeffs[7, 0] = value
+        save_field(snap, f)
+        assert main(["besov", str(snap)]) == 2
+        err = last_error(capsys)
+        assert err["error"] == "FormatVersionMismatch"
+        assert "non-finite" in err["message"]
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("config", ['{"k_lo": 3.0, "k_hi": 0.5}', '{"k_lo": -1.0, "k_hi": -0.5}',
+                                        '{"k_lo": 50.0, "k_hi": 60.0}'],
+                             ids=["reversed", "negative", "beyond-the-grid"])
+    def test_bad_velocity_band_is_a_config_error(self, config, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **kw: calls.append(a))
+        (tmp_path / "cfg.json").write_text(config)
+        argv = ["simulate", "--outdir", str(tmp_path), "--config", str(tmp_path / "cfg.json"),
+                "--npts", "32", "--length", str(8.0 * np.pi)]
+        assert main(argv) == 2
+        assert last_error(capsys)["error"] == "ConfigError"
+        assert calls == []
+
+    def test_decay_on_a_box_below_its_band_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(studies, "integrate", lambda *a, **kw: calls.append(a))
+        argv = ["decay", "--outdir", str(tmp_path), "--npts", "16", "--length", "10"]
+        assert main(argv) == 2
+        err = last_error(capsys)
+        assert err["error"] == "ConfigError" and "holds no mode" in err["message"]
+        assert calls == []
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_snapshot_exit_is_machine_readable(self, kind, tmp_path, capsys):
         path = tmp_path / "missing.dfs" if kind == "missing" else tmp_path

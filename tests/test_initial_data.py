@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftflow.errors import NonFiniteField
+from driftflow.errors import ConfigError, NonFiniteField
 from driftflow.initial_data import (DataRecipe, df_state, euler_ns_state, initial_state,
                                     random_scalar)
 from driftflow.spectral import Grid, from_physical, to_physical
@@ -97,12 +97,49 @@ def test_non_finite_amplitude_fails_in_the_builder(system):
         initial_state(system, GRIDS[2], DataRecipe(amplitude=np.inf))
 
 
-@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.0}, {"seed": True},
-                                    {"prepared": "wel"}],
-                         ids=["seed-negative", "seed-float", "seed-bool", "prepared-misspelt"])
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1}, {"seed": 1.0}, {"seed": True}, {"prepared": "wel"},
+    {"k_band": (3.0, 0.5)}, {"k_band": (-1.0, -0.5)},
+    {"k_band": (0.5, np.inf)}, {"k_band": (np.nan, 1.0)},
+    {"mismatch_band": (-0.5, 1.0)}, {"mismatch_band": (0.0, np.inf)},
+    {"mismatch_band": (np.nan, 1.0)},
+    {"bump_width": 0.0}, {"bump_width": -1.0}, {"bump_width": np.inf}, {"bump_width": np.nan},
+], ids=["seed-negative", "seed-float", "seed-bool", "prepared-misspelt",
+        "k-band-reversed", "k-band-negative", "k-band-infinite", "k-band-nan",
+        "mismatch-band-negative", "mismatch-band-infinite", "mismatch-band-nan",
+        "bump-width-zero", "bump-width-negative", "bump-width-inf", "bump-width-nan"])
 def test_bad_recipe_rejected(kwargs):
     with pytest.raises(ValueError):
         DataRecipe(**kwargs)
+
+
+@pytest.mark.parametrize("system", ["euler_ns", "df", "tns"])
+def test_band_beyond_the_grid_is_a_config_error(system):
+    # |xi| <= 3.54 on this grid: a velocity band (50, 60) holds no mode
+    with pytest.raises(ConfigError, match="no nonzero mode"):
+        initial_state(system, GRIDS[2], DataRecipe(seed=1, k_band=(50.0, 60.0)))
+
+
+def test_a_band_of_one_shell_is_kept():
+    # the band is closed at both ends: (1, 1) holds the four |xi| = 1 modes
+    a = random_scalar(GRIDS[2], np.random.default_rng(0), 1.0, (1.0, 1.0))
+    assert set(np.flatnonzero(a.coeffs)) <= set(np.flatnonzero(GRIDS[2].kmag == 1.0))
+    assert np.max(np.abs(a.coeffs)) > 0
+
+
+def test_a_mismatch_band_with_hi_below_lo_is_widened():
+    # the decay study's own band on a 4.5pi box: (2pi/L, 0.4) with 2pi/L > 0.4
+    grid = Grid(2, 16, 4.5 * np.pi)
+    k0 = 2.0 * np.pi / grid.length
+    s = euler_ns_state(grid, DataRecipe(seed=3, k_band=(k0, 0.5), mismatch_band=(k0, 0.4)))
+    mismatch = (s.u - s.v).coeffs
+    assert np.max(np.abs(mismatch)) > 0
+    assert np.all(grid.kmag[np.any(mismatch != 0, axis=0)] >= k0)
+
+
+def test_band_of_the_zero_mode_alone_is_a_config_error():
+    with pytest.raises(ConfigError):
+        random_scalar(GRIDS[2], np.random.default_rng(0), 1.0, (0.0, 0.1))
 
 
 @settings(max_examples=40, deadline=None)

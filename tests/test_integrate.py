@@ -282,12 +282,6 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(st, 1.0, Scheme(dt=0.05), PAR, "euler_ns", sample_dt=sample_dt)
 
-    def test_block_series_carries_p(self):
-        st = euler_ns_state(GRID, DataRecipe(seed=10, amplitude=0.05))
-        traj = integrate(st, 0.2, Scheme(dt=0.05), PAR, "euler_ns",
-                         [BlockObserver("a4", lambda s: s.a, p=4.0)], sample_dt=0.1)
-        assert traj.blocks["a4"].p == 4.0
-
     def test_reproducible_trajectories(self):
         st1 = euler_ns_state(GRID, DataRecipe(seed=12, amplitude=0.05))
         st2 = euler_ns_state(GRID, DataRecipe(seed=12, amplitude=0.05))

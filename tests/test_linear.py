@@ -6,17 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from driftflow.besov import block_j_range, dyadic_sum
+from driftflow.besov import block_j_range, chi, dyadic_sum
 from driftflow.errors import QuadratureNotConverged
 from driftflow.linear import (
     R_HI,
     R_LO,
     RadialInit,
+    _exp_diff,
     acoustic_eigenvalues,
     compressible_matrix,
     continuum_block_l2,
     continuum_linear_norms,
-    cutoff_profile,
     green_compressible,
     incompressible_matrix,
     power_law_profile,
@@ -41,11 +41,53 @@ xis = st.floats(min_value=1e-3, max_value=50.0)
 nus = st.floats(min_value=0.05, max_value=5.0)
 cs = st.floats(min_value=0.1, max_value=20.0)
 kappas = st.floats(min_value=0.1, max_value=100.0)
+times = st.floats(min_value=0.01, max_value=2.0)
+parts = st.floats(min_value=-10.0, max_value=10.0)
+angles = st.floats(min_value=0.0, max_value=2.0 * np.pi)
 
 
 def scale(xi, nu, c):
     """The size of the acoustic eigenvalues: nu*xi^2 + c*xi."""
     return nu * xi**2 + c * xi
+
+
+class TestExpDiff:
+    """``_exp_diff``, (exp(l2 t) - exp(l3 t))/(l2 - l3): a series in
+    z = (l2 - l3) t for |z| < 0.5 and the quotient above.  It serves the
+    acoustic pair (complex l3) and the drag pairs (real l3 = -kappa)."""
+
+    @PROPERTY
+    @given(re=parts, im=parts, t=times, theta=angles)
+    def test_branches_agree_across_the_switch(self, re, im, t, theta):
+        l3 = complex(re, im)
+        # |z| just below 0.5 (series) and just above (quotient)
+        l2 = l3 + np.array([1.0 - 1e-9, 1.0 + 1e-9]) * 0.5 * np.exp(1j * theta) / t
+        assert abs((l2[0] - l3) * t) < 0.5 <= abs((l2[1] - l3) * t)
+        got = _exp_diff(l2, np.full(2, l3), t)
+        quotient = (np.exp(l2 * t) - np.exp(l3 * t)) / (l2 - l3)
+        size = abs(t * np.exp(l3 * t))
+        assert np.all(np.abs(got - quotient) <= 1e-12 * size)
+        assert abs(got[1] - got[0]) <= 1e-8 * size
+
+    @PROPERTY
+    @given(re=parts, im=parts, t=times, theta=angles)
+    def test_limit_at_a_double_root(self, re, im, t, theta):
+        l3 = complex(re, im)
+        limit = t * np.exp(l3 * t)
+        for size in (1e-3, 1e-6, 1e-9, 0.0):
+            z = size * np.exp(1j * theta)
+            got = _exp_diff(np.array([l3 + z / t]), np.array([l3]), t)[0]
+            assert abs(got - limit) <= (size + 1e-15) * abs(limit)
+
+    @PROPERTY
+    @given(xi=xis, nu=nus, c=cs, kappa=kappas, t=times)
+    def test_real_drag_rate_gives_its_complex_cast(self, xi, nu, c, kappa, t):
+        # the drag pairs of green_compressible and green_incompressible
+        l2 = np.concatenate([*acoustic_eigenvalues(np.array([xi]), nu, c),
+                             [-0.5 * nu * xi**2 + 0j]])
+        got = _exp_diff(l2, -kappa, t)
+        cast = _exp_diff(l2, np.full(l2.shape, complex(-kappa)), t)
+        assert np.all(np.abs(got - cast) <= 1e-15 * np.abs(cast))
 
 
 class TestEigenvalues:
@@ -204,7 +246,7 @@ class TestContinuumNorms:
         ts = np.geomspace(10.0, 1000.0, 25)
         vals = []
         for t in ts:
-            n = continuum_linear_norms(RadialInit(Psi0=cutoff_profile), sigma=0.0, t=t, d=2,
+            n = continuum_linear_norms(RadialInit(Psi0=chi), sigma=0.0, t=t, d=2,
                                        tau=0.1)
             vals.append(n["v"])
         fit = fit_decay_exponent(ts, vals)
@@ -230,7 +272,7 @@ class TestContinuumNorms:
     def test_quadrature_convergence_guard(self):
         # about 3700 periods across the block j = 0: more than the finest
         # Gauss level (2048 nodes) resolves
-        init = RadialInit(a0=lambda r: np.cos(4e4 * r) * cutoff_profile(r))
+        init = RadialInit(a0=lambda r: np.cos(4e4 * r) * chi(r))
         with pytest.raises(QuadratureNotConverged):
             continuum_block_l2(init, t=0.0, d=2, tau=0.1, mu=1.0, lam=-1.0, js=np.array([0]))
 
@@ -267,7 +309,7 @@ class TestMismatchScaling:
 def test_batched_quadrature_equals_the_block_loop(d):
     # one integrand call per Gauss level gives the per-block loop's norms bit for bit
     init = RadialInit(a0=power_law_profile(1.0 - d / 2.0), psi0=power_law_profile(0.5),
-                      Phi0=cutoff_profile)
+                      Phi0=chi)
     j_min, j_max = block_j_range(1e-4, 64.0)
     js = np.arange(j_min, j_max + 1)
     for t in (0.0, 0.3, 10.0, 300.0):

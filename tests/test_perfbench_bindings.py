@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftflow.besov import chi
 from driftflow.initial_data import DataRecipe, initial_state
 from driftflow.spectral import Grid, PhysParams
 
@@ -54,7 +55,7 @@ def test_hot_loops_call_the_traced_names(probe_module):
         for system in ("euler_ns", "df", "tns"):
             state = initial_state(system, grid, DataRecipe(seed=1, amplitude=0.04))
             integ.Stepper(system, grid, par, 0.05).step(state)
-        init = linear.RadialInit(a0=linear.cutoff_profile)
+        init = linear.RadialInit(a0=chi)
         linear.continuum_block_l2(init, 1.0, 2, 0.2, 1.0, -1.0, np.arange(-3, 1))
     finally:
         probe.remove()

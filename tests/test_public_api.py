@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "leray_project", "load_field", "precompute_mode_propagators", "propagator", "rate_fit",
     "relative_velocity_residual", "relaxation_study", "rhs_df",
     "rhs_df_scaled", "rhs_euler_ns", "rhs_euler_ns_scaled", "rhs_tns", "save_field",
-    "split_low_high", "to_physical",
+    "to_physical",
 ]
 
 
@@ -47,7 +47,7 @@ def test_study_parameters_are_pinned():
 
 PUBLIC_PARAMETERS = {
     "BlockObserver": ["name", "selector", "p"],
-    "BlockTimeSeries": ["times", "j_values", "values", "p"],
+    "BlockTimeSeries": ["times", "j_values", "values"],
     "CheckpointObserver": ["name"],
     "FieldObserver": ["name", "selector"],
     "Grid": ["dim", "npts", "length"],
@@ -96,7 +96,6 @@ PUBLIC_PARAMETERS = {
     "rhs_euler_ns_scaled": ["state", "eps", "params", "include_linear"],
     "rhs_tns": ["state", "params", "include_linear"],
     "save_field": ["path", "f"],
-    "split_low_high": ["f", "s_low", "s_high"],
     "to_physical": ["f"],
 }
 

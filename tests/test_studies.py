@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from driftflow import linear, studies
-from driftflow.errors import InsufficientSamples, NonPositiveData, WindowTooShort
+from driftflow.errors import ConfigError, InsufficientSamples, NonPositiveData, WindowTooShort
 from driftflow.initial_data import DataRecipe
 from driftflow.integrate import CheckpointObserver, integrate
-from driftflow.besov import besov_norm
+from driftflow.besov import besov_norm, chi
 from driftflow.spectral import Grid, SpectralField
 from driftflow.studies import (
     StudyResult,
@@ -127,11 +127,20 @@ class TestDriftFluxLimitStudy:
 def test_heat_benchmark_exponent():
     # pure solenoidal heat channel: the index-0 norm of data merely bounded
     # in the weak norm at index -d/2 decays like t^{-d/4}, here d = 2
-    init = linear.RadialInit(Psi0=linear.cutoff_profile)
+    init = linear.RadialInit(Psi0=chi)
     ts = np.geomspace(10.0, 1000.0, 40)
     vals = [linear.continuum_linear_norms(init, 0.0, t, 2, tau=0.1)["v"] for t in ts]
     fit = fit_decay_exponent(ts, vals)
     assert abs(fit.slope - 0.5) < 0.03
+
+
+def test_decay_study_runs_on_every_box_its_band_fits():
+    # at L = 4.5pi the study's mismatch band (2pi/L, 0.4) has hi < lo and is
+    # widened; below L = 4pi its velocity band holds no mode
+    res = studies.decay_study(grid=Grid(2, 16, 4.5 * np.pi), T=10.0)
+    assert np.all(np.isfinite(res.measurements["profile_distance"]))
+    with pytest.raises(ConfigError, match="holds no mode"):
+        studies.decay_study(grid=Grid(2, 16, 3.9 * np.pi), T=10.0)
 
 
 def test_decay_profile_distance_is_the_distance_to_the_final_density():
