@@ -18,7 +18,7 @@ import numpy as np
 from . import studies
 from .besov import family_for
 from .initial_data import DataRecipe, euler_ns_state
-from .integrate import ScalarObserver, Scheme, Stepper, integrate
+from .integrate import ScalarObserver, Scheme, integrate
 from .linear import (
     RadialInit,
     acoustic_eigenvalues,
@@ -31,7 +31,7 @@ from .linear import (
 )
 from .spectral import Grid, PhysParams, SpectralField, parseval_sum
 from .studies import exp_rate_fit, rate_fit
-from .systems import relative_velocity_residual, total_momentum_rate
+from .systems import StateEulerNS, relative_velocity_residual, total_momentum_rate
 
 # the linear oracle compares ORACLE_SAMPLES random modes, drawn from
 # ORACLE_SEED, against a Taylor exponential of order TAYLOR_ORDER
@@ -266,17 +266,12 @@ def criterion_conservation():
     ok &= worst_resid < 1e-9
 
     # equilibrium fixed over 10^3 steps
-    from .systems import StateEulerNS
-
     z = lambda: SpectralField(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
     zv = lambda: SpectralField(grid, np.zeros((grid.dim,) + grid.spectral_shape,
                                               dtype=np.complex128))
     rho = z(); rho.coeffs[0, 0] = 0.4
     eq = StateEulerNS(rho, zv(), z(), zv())
-    stepper = Stepper("euler_ns", grid, par, 0.05)
-    x = eq
-    for _ in range(1000):
-        x = stepper.step(x)
+    x = integrate(eq, 50.0, Scheme(dt=0.05), par, "euler_ns").meta["final_state"]
     drift = max(float(np.max(np.abs(a.coeffs - b.coeffs)))
                 for a, b in zip(x.fields().values(), eq.fields().values()))
     details["equilibrium_drift"] = drift
@@ -295,13 +290,8 @@ def criterion_self_convergence():
     par = PhysParams(tau=0.05, mu=1.0, lam=0.0)
     st = euler_ns_state(grid, DataRecipe(seed=31, amplitude=0.08))
     T = 0.8
-    finals = []
-    for dt in (0.01, 0.005, 0.0025):
-        stepper = Stepper("euler_ns", grid, par, dt)
-        x = st
-        for _ in range(round(T / dt)):
-            x = stepper.step(x)
-        finals.append(x)
+    finals = [integrate(st, T, Scheme(dt=dt), par, "euler_ns").meta["final_state"]
+              for dt in (0.01, 0.005, 0.0025)]
 
     def dist(a, b):
         return max(float(np.sqrt(parseval_sum(grid, fa.coeffs - fb.coeffs)))

@@ -178,9 +178,8 @@ def _low_high(b: np.ndarray, js: np.ndarray, s_low: float, s_high: float):
 
 def besov_norm(f: SpectralField, s: float, p: float = 2.0, r: float = 1.0) -> float:
     """Homogeneous Besov norm: l^r over j of 2^{js} ||Delta_j f||_{Lp}, for
-    p in {1, 2, 4, inf} and r >= 1 (r = inf gives sup_j)."""
-    if p not in _SUPPORTED_P:
-        raise UnsupportedP(f"p = {p} not in {{1, 2, 4, inf}}")
+    p in {1, 2, 4, inf} (``block_lp_norm`` checks it) and r >= 1 (r = inf
+    gives sup_j)."""
     return float(dyadic_sum(block_lp_spectrum(f, p), family_for(f.grid).j_values, s, r))
 
 

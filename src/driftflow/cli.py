@@ -50,6 +50,10 @@ def _load_config(args) -> tuple[RunConfig, set]:
 
 def cmd_simulate(args) -> int:
     cfg, _ = _load_config(args)
+    eps = system_spec(cfg.system).mach(cfg.params())
+    if eps != cfg.eps:
+        raise ConfigError(f"system {cfg.system} runs at eps = {eps:g}, not {cfg.eps:g}; "
+                          "the _scaled systems take eps")
     outdir = Path(cfg.outdir)
     state0 = initial_state(cfg.system, cfg.grid(), cfg.recipe())
     fields = list(state0.fields())

@@ -121,12 +121,12 @@ def random_vector(
     return f
 
 
-def bump_scalar(grid: Grid, center=None, width: float | None = None, amplitude: float = 1.0) -> SpectralField:
-    """Periodic Gaussian bump (nearest-image distance), cut to the band."""
+def bump_scalar(grid: Grid, center, width: float, amplitude: float = 1.0) -> SpectralField:
+    """Periodic Gaussian bump (nearest-image distance) of the given positive
+    finite width, cut to the band; ValueError for any other width."""
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"bump width must be positive and finite, not {width!r}")
     L = grid.length
-    width = width or L / 12.0
-    if center is None:
-        center = (L / 2.0,) * grid.dim
     x = grid.coords()
     r2 = np.zeros(grid.shape)
     for i in range(grid.dim):
@@ -153,7 +153,6 @@ def positive_density(grid: Grid, rng: np.random.Generator, amplitude: float, flo
     # the band cut's ripple must not push the density below zero
     m = float(np.min(to_physical(f)))
     if m < floor * 0.5:
-        f = SpectralField(f.grid, f.coeffs)
         idx = (0,) * grid.dim
         f.coeffs[idx] += floor * 0.5 - m
     return f
@@ -229,7 +228,7 @@ def coupled_euler_ns_data(df0: StateDF, tau: float) -> StateEulerNS:
     kept small so the tau-linear density offset never dominates that scaling.
     """
     g = df0.grid
-    bump = bump_scalar(g, None, g.length / 10.0, COUPLED_BUMP_HEIGHT)
+    bump = bump_scalar(g, (g.length / 2.0,) * g.dim, g.length / 10.0, COUPLED_BUMP_HEIGHT)
     rho = SpectralField(g, df0.rho.coeffs + tau * bump.coeffs)
     u = SpectralField(g, df0.v.coeffs * (g.kmag <= 1.0 / np.sqrt(tau)))
     return StateEulerNS(rho, u, df0.a.copy(), df0.v.copy()).validate()

@@ -118,14 +118,19 @@ def incompressible_matrix(xi, kappa: float, mu: float) -> np.ndarray:
 # Green's function entries, vectorized over xi
 
 
+def _acoustic_entries(xi: np.ndarray, l2: np.ndarray, l3: np.ndarray, c: float,
+                      t: float) -> dict[str, np.ndarray]:
+    """The entries of ``green_acoustic`` from the acoustic eigenvalues l2, l3."""
+    d = _exp_diff(l2, l3, t)                       # (e^{l2 t}-e^{l3 t})/(l2-l3)
+    e3 = np.exp(l3 * t)
+    return {"aa": e3 - l3 * d, "av": -c * xi * d, "va": c * xi * d, "vv": e3 + l2 * d}
+
+
 def green_acoustic(xi, nu: float, c: float, t: float) -> dict[str, np.ndarray]:
     """Entries of the exponential of the 2x2 acoustic block on (a, psi):
     keys aa, av, va, vv, as arrays over xi."""
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    l2, l3 = acoustic_eigenvalues(xi, nu, c)
-    d = _exp_diff(l2, l3, t)                       # (e^{l2 t}-e^{l3 t})/(l2-l3)
-    e3 = np.exp(l3 * t)
-    return {"aa": e3 - l3 * d, "av": -c * xi * d, "va": c * xi * d, "vv": e3 + l2 * d}
+    return _acoustic_entries(xi, *acoustic_eigenvalues(xi, nu, c), c, t)
 
 
 def green_compressible(xi, kappa: float, nu: float, c: float, t: float) -> dict[str, np.ndarray]:
@@ -136,8 +141,8 @@ def green_compressible(xi, kappa: float, nu: float, c: float, t: float) -> dict[
     guards are recomputed with a dense matrix exponential.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    out = green_acoustic(xi, nu, c, t)
     l2, l3 = acoustic_eigenvalues(xi, nu, c)
+    out = _acoustic_entries(xi, l2, l3, c, t)
     ekt = np.exp(-kappa * t)
 
     p2 = _exp_diff(l2, -kappa, t)                  # (e^{l2 t}-e^{-k t})/(k+l2)
@@ -222,10 +227,6 @@ def _gauss(n: int):
     return roots_legendre(n)
 
 
-def _sphere_area(d: int) -> float:
-    return 2.0 * np.pi if d == 2 else 4.0 * np.pi
-
-
 def continuum_block_l2(
     init: RadialInit,
     t: float,
@@ -247,7 +248,7 @@ def continuum_block_l2(
     """
     kappa = 1.0 / tau
     nu = 2.0 * mu + lam
-    area = _sphere_area(d)
+    area = 2.0 * np.pi if d == 2 else 4.0 * np.pi  # of the unit sphere in R^d
     pref = area / (2.0 * np.pi) ** d
 
     def integrand(r):

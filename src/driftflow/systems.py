@@ -31,7 +31,8 @@ so the nonlinear pressure term is a gradient, g(a) grad a = -grad G(a)
 (scaled: G(a) = [((1+eps a)^(gamma-1) - 1)/(gamma-1) - eps a]/eps^2, the
 enthalpy beyond its linear part).  G joins |v|^2/2 before that term's
 forward transform, so grad a is never taken to the grid.  The drift-flux
-coefficient also depends on rho and keeps the form coef * grad a.  The rhs
+coefficient also depends on rho and keeps the form coef * grad a; its slope
+(P'(1+x) - 1)/x = (gamma-1)(1 + x q(x)) reads the same q = G/a^2.  The rhs
 are assembled in arrays they allocate themselves, each operation in the
 order of the plain expression of its term, so the result is that
 expression's to the bit, and each physical array is released after its
@@ -62,6 +63,7 @@ from .spectral import (
     grad,
     l2_norm,
     laplacian,
+    leray_project,
     to_physical,
 )
 
@@ -227,18 +229,6 @@ def _visc(v: SpectralField, mu: float, lam: float) -> SpectralField:
     return SpectralField(g, out)
 
 
-def _pressure_slope_ratio(x: np.ndarray, gamma: float) -> np.ndarray:
-    """(P'(1+x) - 1)/x, smoothly completed with value gamma-1 at x = 0: its
-    series where |x| < 1e-8, the quotient elsewhere; NaN in gives NaN out."""
-    out = 0.5 * (gamma - 1.0) * (gamma - 2.0) * x
-    out += gamma - 1.0
-    num = 1.0 + x
-    num **= gamma - 1.0
-    num -= 1.0
-    np.divide(num, x, out=out, where=np.abs(x) >= 1e-8)
-    return out
-
-
 ENTHALPY_SERIES = 0.1   # |x| below which _enthalpy_excess_ratio sums its series
 ENTHALPY_TERMS = 16     # terms of that series at most
 
@@ -367,8 +357,14 @@ def rhs_df_scaled(state: StateDF, eps: float, params: PhysParams, include_linear
     da = _transport(g, a_ph, v_ph)
 
     # rest of dv/dt: (1/m - 1) visc - ((pr - rho - a)/m) grad a
+    # pr = a (P'(1+x) - 1)/x = a (gamma-1)(1 + x q(x)) at x = eps a
     rest, visc_v = _viscous_rest(state.v, m_ph, params)
-    coef = _pressure_slope_ratio(eps * a_ph, params.gamma)
+    x = eps * a_ph
+    coef = _enthalpy_excess_ratio(x, params.gamma)
+    coef *= x
+    del x
+    coef += 1.0
+    coef *= params.gamma - 1.0
     coef *= a_ph
     coef -= rho_ph
     np.subtract(a_ph, coef, out=coef)
@@ -411,11 +407,8 @@ def rhs_tns(state: StateTNS, params: PhysParams, include_linear: bool = True) ->
     g = state.grid
     w_ph = to_physical(state.w)
     dvarrho = _transport(g, to_physical(state.varrho), w_ph)
-    dw = _advection(state.w, w_ph, gradient=False)
-    # the Leray projection, in place, removes the rotational form's gradient part
-    along = dot(g.ehat, dw.coeffs)
-    for i in range(g.dim):
-        dw.coeffs[i] -= g.ehat[i] * along
+    # the Leray projection removes the rotational form's gradient part
+    dw, _ = leray_project(_advection(state.w, w_ph, gradient=False))
     if include_linear:
         dw = SpectralField(g, dw.coeffs + params.mu * laplacian(state.w).coeffs)
     return StateTNS(dvarrho, dw)

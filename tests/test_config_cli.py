@@ -322,6 +322,32 @@ class TestCLI:
         assert last_error(capsys)["error"] == "ConfigError"
         assert calls == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("system", ["euler_ns", "df", "tns"])
+    def test_eps_of_an_unscaled_system_is_a_config_error_before_any_run(
+            self, system, source, tmp_path, monkeypatch, capsys):
+        # these systems run at eps = 1 whatever eps the config names
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **kw: calls.append(a))
+        argv = ["simulate", "--outdir", str(tmp_path), "--system", system]
+        if source == "flag":
+            argv += ["--eps", "0.5"]
+        else:
+            (tmp_path / "cfg.json").write_text('{"eps": 0.5}')
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 2
+        err = last_error(capsys)
+        assert err["error"] == "ConfigError" and "eps" in err["message"]
+        assert calls == []
+
+    def test_scaled_system_takes_eps(self, tmp_path):
+        rc = main(["simulate", "--system", "euler_ns_scaled", "--eps", "0.5", "--npts", "16",
+                   "--length", "6.283185307179586", "--horizon", "0.2", "--dt", "0.05",
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        payload = json.loads((tmp_path / "summary.json").read_text())["payload"]
+        assert payload["params"]["eps"] == 0.5 and payload["final_time"] == 0.2
+
     def test_decay_on_a_box_below_its_band_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(studies, "integrate", lambda *a, **kw: calls.append(a))

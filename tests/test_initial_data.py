@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftflow.errors import ConfigError, NonFiniteField
-from driftflow.initial_data import (DataRecipe, df_state, euler_ns_state, initial_state,
-                                    random_scalar)
+from driftflow.initial_data import (DataRecipe, bump_scalar, df_state, euler_ns_state,
+                                    initial_state, random_scalar)
 from driftflow.spectral import Grid, from_physical, to_physical
 
 GRIDS = {2: Grid(2, 32, 8.0 * np.pi), 3: Grid(3, 16, 2.0 * np.pi)}
@@ -111,6 +111,13 @@ def test_non_finite_amplitude_fails_in_the_builder(system):
 def test_bad_recipe_rejected(kwargs):
     with pytest.raises(ValueError):
         DataRecipe(**kwargs)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.inf, np.nan])
+def test_bump_width_must_be_positive_and_finite(width):
+    # a zero width once fell back to L/12 and a negative one was squared away
+    with pytest.raises(ValueError, match="bump width"):
+        bump_scalar(GRIDS[2], (1.0, 2.0), width)
 
 
 @pytest.mark.parametrize("system", ["euler_ns", "df", "tns"])

@@ -182,6 +182,22 @@ class TestStep:
 
 
 class TestIntegrate:
+    def test_equals_a_hand_stepper_loop(self):
+        # the temporal self-convergence criterion's run at its coarsest step:
+        # T/dt is whole and the drag is not stiff, so these are the same steps
+        grid = Grid(2, 48, 8.0 * np.pi)
+        par = PhysParams(tau=0.05, mu=1.0, lam=0.0)
+        st = euler_ns_state(grid, DataRecipe(seed=31, amplitude=0.08))
+        stepper = Stepper("euler_ns", grid, par, 0.01)
+        x = st
+        for _ in range(80):
+            x = stepper.step(x)
+        traj = integrate(st, 0.8, Scheme(dt=0.01), par, "euler_ns")
+        assert traj.meta["steps"] == 80 and traj.meta["t_ramp"] == 0.0
+        final = traj.meta["final_state"]
+        for name, f in x.fields().items():
+            assert np.array_equal(final.fields()[name].coeffs, f.coeffs), name
+
     def test_zero_horizon_single_sample(self):
         st = euler_ns_state(GRID, DataRecipe(seed=7))
         traj = integrate(st, 0.0, Scheme(), PAR, "euler_ns",

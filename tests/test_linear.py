@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from driftflow.besov import block_j_range, chi, dyadic_sum
+from driftflow import linear
 from driftflow.errors import QuadratureNotConverged
 from driftflow.linear import (
     R_HI,
@@ -150,6 +151,18 @@ class TestEigenvalues:
             for key, (i, j) in {"uu": (0, 0), "ua": (0, 1), "uv": (0, 2), "aa": (1, 1),
                                 "av": (1, 2), "va": (2, 1), "vv": (2, 2)}.items():
                 assert abs(g[key][0] - ref[i, j]) < 1e-12, (c, key)
+
+
+def test_green_compressible_finds_the_eigenvalues_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return acoustic_eigenvalues(*args, **kwargs)
+
+    monkeypatch.setattr(linear, "acoustic_eigenvalues", counted)
+    green_compressible(np.geomspace(0.1, 10.0, 16), 5.0, 1.0, 2.0, 0.3)
+    assert len(calls) == 1
 
 
 class TestPropagator:

@@ -39,7 +39,6 @@ from driftflow.systems import (
     _enthalpy_excess_ratio,
     _gas_density,
     _mixture,
-    _pressure_slope_ratio,
 )
 
 from conftest import random_field, small_field
@@ -49,7 +48,6 @@ from oracles import (
     linear_rhs_euler_ns,
     momentum_rhs_df_conservative,
     momentum_rhs_df_nonconservative,
-    pressure_slope_ratio,
     rhs_df_scaled_ref,
     rhs_euler_ns_scaled_enthalpy_ref,
     rhs_euler_ns_scaled_ref,
@@ -187,6 +185,11 @@ class TestEulerNS:
         assert sum(seen) == count
 
 
+def df_slope_ratio(x, gamma):
+    """(P'(1+x) - 1)/x as ``rhs_df_scaled`` forms it from the enthalpy kernel q."""
+    return (gamma - 1.0) * (1.0 + x * _enthalpy_excess_ratio(x, gamma))
+
+
 class TestDriftFlux:
     def test_equilibrium(self):
         st = StateDF(equilibrium().rho, zero_scalar(GRID), zero_vector(GRID))
@@ -222,6 +225,19 @@ class TestDriftFlux:
         noncons = momentum_rhs_df_nonconservative(st, PAR)
         rel = l2_norm(cons - noncons) / max(l2_norm(cons), 1e-30)
         assert rel < 1e-8
+
+    @pytest.mark.parametrize("eps", [1.0, 0.1])
+    @pytest.mark.parametrize("grid", [GRID, Grid(3, 16, 2.0 * np.pi)])
+    def test_pressure_term_of_a_small_gas_perturbation(self, grid, eps, rng):
+        # at gamma = 3, P'(n) = n^2, so with rho = 0 and v = 0 the nonlinear
+        # v-rhs is -a grad a for every eps; a of size 1e-6 puts eps a where a
+        # quotient (P'(1+x) - 1)/x keeps only about ten digits
+        a = small_field(grid, rng, 1e-6)
+        st = StateDF(zero_scalar(grid), a, zero_vector(grid))
+        got = rhs_df_scaled(st, eps, PAR, include_linear=False).v.coeffs
+        a_ph = to_physical(a)
+        want = from_physical(grid, -a_ph * to_physical(grad(a))).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_degenerate_mixture_rejected(self):
         rho = from_physical(GRID, -0.97 * np.ones(GRID.shape))
@@ -471,15 +487,17 @@ class TestPlainForms:
         np.testing.assert_allclose(got[-2:], closed, rtol=1e-13)
 
     @pytest.mark.parametrize("gamma", [3.0, 1.4, 2.0])
-    def test_pressure_slope_ratio_branches(self, gamma):
-        # the series below |x| = 1e-8, the quotient from there on
-        x = np.array([0.0, 9.9e-9, -9.9e-9, 1e-8, -1e-8, 1.01e-8, -1.01e-8, 0.3, -0.4, np.nan])
-        got = _pressure_slope_ratio(x, gamma)
-        np.testing.assert_array_equal(got, pressure_slope_ratio(x, gamma))
+    def test_df_slope_ratio_from_the_enthalpy_kernel(self, gamma):
+        # gamma - 1 at x = 0, NaN for NaN, and the quotient away from 0
+        x = np.array([0.0, 0.3, -0.4, np.nan])
+        got = df_slope_ratio(x, gamma)
         assert got[0] == gamma - 1.0
         assert np.isnan(got[-1])
-        # the two branches meet at the switch
-        assert abs(got[1] - got[5]) <= 1e-7 and abs(got[2] - got[6]) <= 1e-7
-        big = x[7:9]
-        np.testing.assert_allclose(got[7:9], ((1.0 + big) ** (gamma - 1.0) - 1.0) / big,
+        big = x[1:3]
+        np.testing.assert_allclose(got[1:3], ((1.0 + big) ** (gamma - 1.0) - 1.0) / big,
                                    rtol=1e-15)
+
+    def test_df_slope_ratio_is_exact_at_gamma_3(self):
+        # (P'(1+x) - 1)/x = 2 + x; a quotient would lose digits near x = 0
+        x = np.array([1.01e-8, -1.01e-8, 1e-6, -1e-6, 1e-4, -1e-4])
+        np.testing.assert_array_max_ulp(df_slope_ratio(x, 3.0), 2.0 + x, maxulp=1)
