@@ -72,6 +72,11 @@ def _criterion(title: str, budget: float):
     return wrap
 
 
+def _fit_spread(prefix: str, fit) -> dict:
+    """A fitted rate's standard error and r^2, as details keys under ``prefix``."""
+    return {f"{prefix}_stderr": fit.stderr, f"{prefix}_r_squared": fit.r_squared}
+
+
 def _expm_taylor(mat):
     mat = np.asarray(mat, dtype=np.complex128)
     norm = np.linalg.norm(mat, ord=np.inf)
@@ -192,6 +197,8 @@ def criterion_relaxation_rates():
     s_tau = res.fits["tau_family"].slope
     ok = 0.40 <= s_sqrt <= 0.65 and 0.85 <= s_tau <= 1.15
     return ok, {"sqrt_slope": s_sqrt, "tau_slope": s_tau,
+                **_fit_spread("sqrt", res.fits["sqrt_family"]),
+                **_fit_spread("tau", res.fits["tau_family"]),
                 "sqrt_values": res.measurements["sqrt_family"],
                 "tau_values": res.measurements["tau_family"]}
 
@@ -200,10 +207,13 @@ def criterion_relaxation_rates():
 def criterion_df_limit():
     """Two-phase to drift-flux distance against the friction time."""
     res = studies.df_limit_study()
-    slope = res.fits["sup_error"].slope
-    ok = 0.40 <= slope <= 0.70 and bool(res.details["monotone"])
-    return ok, {"slope": slope, "monotone": res.details["monotone"],
+    fit = res.fits["sup_error"]
+    ok = 0.40 <= fit.slope <= 0.70 and bool(res.details["monotone"])
+    return ok, {"slope": fit.slope, "stderr": fit.stderr, "r_squared": fit.r_squared,
+                "monotone": res.details["monotone"],
                 "sup_errors": res.measurements["sup_error"],
+                "t_at_max_density": res.details["t_at_max_density"],
+                "t_at_max_mixed_velocity": res.details["t_at_max_mixed_velocity"],
                 "l1_velocity_slope": res.fits["l1_velocity"].slope}
 
 
@@ -220,6 +230,8 @@ def criterion_nonlinear_decay():
     ok &= bool(res.details["profile_distance_monotone"])
     return ok, {"state_exponent": e_state, "target": target,
                 "relative_exponent": e_rel,
+                **_fit_spread("state", res.fits["state_exponent"]),
+                **_fit_spread("relative", res.fits["relative_exponent"]),
                 "enhancement": e_rel - e_state,
                 "profile_monotone": res.details["profile_distance_monotone"],
                 "flags": res.flags}
@@ -234,6 +246,8 @@ def criterion_incompressible():
     s_rel = res_ens.fits["relative_norm"].slope
     ok = 0.05 <= s_ac <= 0.22 and 0.85 <= s_rel <= 1.15
     return ok, {"acoustic_slope": s_ac, "relative_slope": s_rel,
+                **_fit_spread("acoustic", res_df.fits["acoustic_norm"]),
+                **_fit_spread("relative", res_ens.fits["relative_norm"]),
                 "acoustic_values": res_df.measurements["acoustic_norm"],
                 "relative_values": res_ens.measurements["relative_norm"],
                 "free_space_slope": res_df.details["free_space_slope"]}
@@ -285,7 +299,9 @@ def criterion_conservation():
 
 @_criterion("temporal self-convergence", 300.0)
 def criterion_self_convergence():
-    """Observed temporal order of the midpoint exponential scheme."""
+    """Observed temporal order of ``integrate``'s stepper: the exponential
+    midpoint step, with the derivative at the start of each step after the
+    first extrapolated from the last two stage derivatives (``Stepper``)."""
     grid = Grid(2, 48, 8.0 * np.pi)
     par = PhysParams(tau=0.05, mu=1.0, lam=0.0)
     st = euler_ns_state(grid, DataRecipe(seed=31, amplitude=0.08))

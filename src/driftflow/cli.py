@@ -50,10 +50,12 @@ def _load_config(args) -> tuple[RunConfig, set]:
 
 def cmd_simulate(args) -> int:
     cfg, _ = _load_config(args)
-    eps = system_spec(cfg.system).mach(cfg.params())
-    if eps != cfg.eps:
-        raise ConfigError(f"system {cfg.system} runs at eps = {eps:g}, not {cfg.eps:g}; "
-                          "the _scaled systems take eps")
+    reads = system_spec(cfg.system).reads
+    unread = [f"{name} = {value:g}" for name, value in asdict(cfg.params()).items()
+              if name not in reads and value != getattr(RunConfig, name)]
+    if unread:
+        raise ConfigError(f"system {cfg.system} does not read {', '.join(unread)}; "
+                          f"it reads {', '.join(sorted(reads))}")
     outdir = Path(cfg.outdir)
     state0 = initial_state(cfg.system, cfg.grid(), cfg.recipe())
     fields = list(state0.fields())

@@ -201,7 +201,9 @@ def df_limit_study(
     """
     One drift-flux reference run against relaxation-coupled two-phase runs
     per tau; measures the sup-in-time density/velocity error norms and the
-    L1-in-time velocity alignment, and fits their tau-slopes.
+    L1-in-time velocity alignment, and fits their tau-slopes.  The first
+    reference times at which the density and the mixed-velocity norms reach
+    their maxima are measured too, and repeated in ``details``.
 
     The reference run keeps its states at the sample times.  Each two-phase
     run keeps none: a scalar observer measures its distance to the stored
@@ -225,7 +227,8 @@ def df_limit_study(
                     [CheckpointObserver()], sample_dt)
     ref_by_t = {round(t, 9): s for t, s in ref.checkpoints}
 
-    meas = {"sup_error": [], "l1_velocity": [], "sup_density": [], "sup_mixed_velocity": []}
+    meas = {"sup_error": [], "l1_velocity": [], "sup_density": [], "sup_mixed_velocity": [],
+            "t_at_max_density": [], "t_at_max_mixed_velocity": []}
     for tau in tau_list:
         norms = {}  # reference time -> the three distance norms there
 
@@ -239,20 +242,21 @@ def df_limit_study(
         integrate(coupled_euler_ns_data(df0, tau), T, Scheme(dt=dt), PhysParams(tau=tau),
                   "euler_ns", [ScalarObserver("distance", distance)], sample_dt)
         sup_rho_n, sup_v, l1_vals, ts = 0.0, 0.0, [], []
-        t_at_max = 0.0
+        t_rho_n, t_v = 0.0, 0.0  # the first reference times of the two maxima
         for t_ref, _ in ref.checkpoints:
             key = round(t_ref, 9)
             if key not in norms:
                 raise InsufficientSamples(f"tau = {tau:g}: no two-phase sample at the "
                                           f"reference time t = {t_ref:g}")
             rn, vv, duv = norms[key]
-            if rn + vv > sup_rho_n + sup_v:
-                t_at_max = t_ref
-            sup_rho_n = max(sup_rho_n, rn)
-            sup_v = max(sup_v, vv)
+            if rn > sup_rho_n:
+                sup_rho_n, t_rho_n = rn, t_ref
+            if vv > sup_v:
+                sup_v, t_v = vv, t_ref
             ts.append(t_ref)
             l1_vals.append(duv)
-        meas.setdefault("t_at_max", []).append(t_at_max)
+        meas["t_at_max_density"].append(t_rho_n)
+        meas["t_at_max_mixed_velocity"].append(t_v)
         meas["sup_density"].append(sup_rho_n)
         meas["sup_mixed_velocity"].append(sup_v)
         meas["sup_error"].append(sup_rho_n + sup_v)
@@ -267,7 +271,9 @@ def df_limit_study(
     ) if sorted(tau_list, reverse=True) == list(tau_list) else None
     return StudyResult("df_limit", "tau", list(tau_list), meas, fits, flags,
                        details={"T": T, "monotone": monotone,
-                                "grid": (grid.dim, grid.npts, grid.length)})
+                                "grid": (grid.dim, grid.npts, grid.length),
+                                "t_at_max_density": meas["t_at_max_density"],
+                                "t_at_max_mixed_velocity": meas["t_at_max_mixed_velocity"]})
 
 
 # ---------------------------------------------------------------------------

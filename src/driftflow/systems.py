@@ -11,7 +11,8 @@ The five flow variants are scalings of three rhs families:
   df_scaled         Mach-scaled drift-flux variant
 
 ``euler_ns`` and ``df`` are their Mach-scaled forms at eps = 1; ``SYSTEMS``
-maps each name to its state class, its nonlinear rhs and its linear symbol.
+maps each name to its state class, its nonlinear rhs, its linear symbol and
+the parameters those two read.
 
 Velocity equations are advanced in non-conservative form; transport
 equations in divergence form, so their zero Fourier mode is exactly
@@ -436,12 +437,14 @@ def _mach(params: PhysParams) -> float:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One flow variant: state class, nonlinear rhs, and linear symbol."""
+    """One flow variant: state class, nonlinear rhs, linear symbol, and the
+    ``PhysParams`` fields that the rhs and the symbol read."""
 
     state_cls: type
     rhs: Callable                 # rhs(state, params): the nonlinear part alone
     kappa: Callable | None        # drag rate kappa(params); None without drag
     c: Callable | None            # sound speed c(params); None for incompressible flow
+    reads: frozenset              # names of the PhysParams fields read
     mach: Callable = _unit_mach   # Mach number eps(params) that state_cls.validate takes
 
     @property
@@ -449,35 +452,37 @@ class SystemSpec:
         return self.kappa is not None
 
 
-def _two_phase(mach: Callable) -> SystemSpec:
+def _two_phase(mach: Callable, reads: frozenset) -> SystemSpec:
     return SystemSpec(
         StateEulerNS,
         lambda state, params: rhs_euler_ns_scaled(state, mach(params), params,
                                                   include_linear=False),
         kappa=lambda params: 1.0 / (mach(params) * params.tau),
         c=lambda params: 1.0 / mach(params),
+        reads=reads,
         mach=mach,
     )
 
 
-def _drift_flux(mach: Callable) -> SystemSpec:
+def _drift_flux(mach: Callable, reads: frozenset) -> SystemSpec:
     return SystemSpec(
         StateDF,
         lambda state, params: rhs_df_scaled(state, mach(params), params, include_linear=False),
         kappa=None,
         c=lambda params: 1.0 / mach(params),
+        reads=reads,
         mach=mach,
     )
 
 
 SYSTEMS: dict[str, SystemSpec] = {
-    "euler_ns": _two_phase(_unit_mach),
-    "df": _drift_flux(_unit_mach),
+    "euler_ns": _two_phase(_unit_mach, frozenset({"tau", "mu", "lam", "gamma"})),
+    "df": _drift_flux(_unit_mach, frozenset({"mu", "lam", "gamma"})),
     "tns": SystemSpec(
         StateTNS, lambda state, params: rhs_tns(state, params, include_linear=False),
-        kappa=None, c=None),
-    "euler_ns_scaled": _two_phase(_mach),
-    "df_scaled": _drift_flux(_mach),
+        kappa=None, c=None, reads=frozenset({"mu"})),
+    "euler_ns_scaled": _two_phase(_mach, frozenset({"tau", "eps", "mu", "lam", "gamma"})),
+    "df_scaled": _drift_flux(_mach, frozenset({"eps", "mu", "lam", "gamma"})),
 }
 
 

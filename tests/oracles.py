@@ -189,23 +189,24 @@ def df_limit_checkpointed(tau_list, grid, recipe, T, dt, sample_dt, mu=1.0, lam=
     ref = integrate(df0, T, Scheme(dt=dt), PhysParams(tau=1.0, mu=mu, lam=lam), "df",
                     [CheckpointObserver()], sample_dt)
     meas = {"sup_error": [], "l1_velocity": [], "sup_density": [],
-            "sup_mixed_velocity": [], "t_at_max": []}
+            "sup_mixed_velocity": [], "t_at_max_density": [], "t_at_max_mixed_velocity": []}
     for tau in tau_list:
         traj = integrate(coupled_euler_ns_data(df0, tau), T, Scheme(dt=dt),
                          PhysParams(tau=tau, mu=mu, lam=lam), "euler_ns",
                          [CheckpointObserver()], sample_dt)
         ens_by_t = {round(t, 9): s for t, s in traj.checkpoints}
-        sup_rho_n, sup_v, t_at_max, l1_vals, ts = 0.0, 0.0, 0.0, [], []
+        rns, vvs, l1_vals, ts = [], [], [], []
         for t_ref, df_t in ref.checkpoints:
             if round(t_ref, 9) not in ens_by_t:
                 raise InsufficientSamples(f"no two-phase sample at t = {t_ref:g}")
             rn, vv, duv = _error_norms(ens_by_t[round(t_ref, 9)], df_t, d2)
-            if rn + vv > sup_rho_n + sup_v:
-                t_at_max = t_ref
-            sup_rho_n, sup_v = max(sup_rho_n, rn), max(sup_v, vv)
+            rns.append(rn)
+            vvs.append(vv)
             ts.append(t_ref)
             l1_vals.append(duv)
-        meas["t_at_max"].append(t_at_max)
+        sup_rho_n, sup_v = max(rns), max(vvs)
+        meas["t_at_max_density"].append(ts[int(np.argmax(rns))])
+        meas["t_at_max_mixed_velocity"].append(ts[int(np.argmax(vvs))])
         meas["sup_density"].append(sup_rho_n)
         meas["sup_mixed_velocity"].append(sup_v)
         meas["sup_error"].append(sup_rho_n + sup_v)

@@ -16,6 +16,7 @@ from driftflow.config import (FORMAT_TAG, RunConfig, _jsonable, read_config_file
                               write_record)
 from driftflow.errors import ConfigError
 from driftflow.spectral import Grid, SpectralField, save_field
+from driftflow.systems import SYSTEMS
 
 from conftest import small_field
 
@@ -347,6 +348,28 @@ class TestCLI:
         assert rc == 0
         payload = json.loads((tmp_path / "summary.json").read_text())["payload"]
         assert payload["params"]["eps"] == 0.5 and payload["final_time"] == 0.2
+
+    @pytest.mark.parametrize("system, flag", [("df", "tau"), ("tns", "lam"),
+                                              ("euler_ns", "eps")])
+    def test_a_parameter_the_system_does_not_read_is_a_config_error_before_any_run(
+            self, system, flag, tmp_path, monkeypatch, capsys):
+        # the run would not change, but summary.json would record the value
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **kw: calls.append(a))
+        argv = ["simulate", "--outdir", str(tmp_path), "--system", system, f"--{flag}", "0.5"]
+        assert main(argv) == 2
+        err = last_error(capsys)
+        assert err["error"] == "ConfigError" and f"{flag} = 0.5" in err["message"]
+        assert calls == []
+
+    @pytest.mark.parametrize("system", list(SYSTEMS))
+    def test_every_system_runs_at_the_default_parameters(self, system, tmp_path):
+        rc = main(["simulate", "--system", system, "--npts", "16",
+                   "--length", "6.283185307179586", "--horizon", "0.1", "--dt", "0.05",
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        params = json.loads((tmp_path / "summary.json").read_text())["payload"]["params"]
+        assert params == {k: getattr(RunConfig, k) for k in params}
 
     def test_decay_on_a_box_below_its_band_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -64,7 +64,7 @@ PUBLIC_PARAMETERS = {
     "Stepper": ["system", "grid", "params", "dt"],
     "StudyResult": ["name", "parameter_name", "parameters", "measurements", "fits", "flags",
                     "details"],
-    "SystemSpec": ["state_cls", "rhs", "kappa", "c", "mach"],
+    "SystemSpec": ["state_cls", "rhs", "kappa", "c", "reads", "mach"],
     "Trajectory": ["times", "scalars", "blocks", "fields", "checkpoints", "meta"],
     "besov_norm": ["f", "s", "p", "r"],
     "chemin_lerner_norm": ["series", "rho", "s"],

@@ -1,5 +1,7 @@
 """The system table: every registered variant runs through every layer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,15 @@ def test_steps_conserve_transported_scalars(name):
         if not f0.is_vector:
             z0, z1 = f0.zero_mode(), f1.zero_mode()
             assert abs(z1 - z0) <= 1e-13 * max(1.0, abs(z0))
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_reads_names_the_parameters_a_step_depends_on(name):
+    # a step changes with each parameter the entry reads and with no other
+    state0 = initial_state(name, GRID, DataRecipe(seed=3, amplitude=0.04, k_band=(0.5, 1.5)))
+    coeffs = lambda s: [f.coeffs.tobytes() for f in s.fields().values()]
+    base = coeffs(Stepper(name, GRID, PAR, 0.05).step(state0))
+    changed = {"tau": 0.3, "eps": 0.7, "mu": 0.6, "lam": 0.1, "gamma": 2.0}
+    moved = {key for key, value in changed.items()
+             if coeffs(Stepper(name, GRID, replace(PAR, **{key: value}), 0.05).step(state0)) != base}
+    assert moved == SYSTEMS[name].reads

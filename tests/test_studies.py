@@ -99,6 +99,9 @@ class TestDriftFluxLimitStudy:
         res = df_limit_study(self.TAUS, **self.RUN)
         oracle = df_limit_checkpointed(self.TAUS, **self.RUN)
         assert res.measurements == oracle
+        # the study JSON writes details, the CSV the measurements
+        for key in ("t_at_max_density", "t_at_max_mixed_velocity"):
+            assert res.details[key] == res.measurements[key]
 
     def test_two_phase_runs_keep_no_checkpoints(self, monkeypatch):
         seen = []
